@@ -45,7 +45,7 @@
 //        must never perturb the work it did not shed;
 //   (ii) goodput — budget-meeting completions per second — with shedding
 //        is at least the baseline's provably on-time rate under the same
-//        offered load. Deadlines anchor at server receipt (wire v3), so
+//        offered load. Deadlines anchor at server receipt, so
 //        the shed run's deliveries are on-time by enforcement; the
 //        baseline is counted by end-to-end latency, a conservative lower
 //        bound on its server-anchored on-time rate. Results land in

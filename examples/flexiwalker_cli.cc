@@ -90,9 +90,6 @@ struct CliOptions {
   size_t admit = 1 << 16;       // admission bound (queries, pending + in flight)
   std::string overflow = "block";  // block|reject when the bound is hit
   unsigned pipeline = 2;        // WalkService in-flight batch depth
-  std::string event_loop = "on";  // raw --event-loop text
-  bool event_loop_on = true;      // epoll reader/writer loops vs thread-per-connection
-  bool event_loop_set = false;    // flag given explicitly
   // Extra workloads to register on the server besides the primary --workload
   // (which is always workload id 0, name "default"). Comma-separated
   // name[:admit=N][:overflow=block|reject] entries; see docs/SERVING.md.
@@ -100,7 +97,7 @@ struct CliOptions {
   uint32_t workload_id = 0;     // client mode: route requests to this workload
   bool workload_id_set = false;
   // Deadline-aware serving (docs/SERVING.md "Deadlines, retries, and drain"):
-  uint64_t deadline_us = 0;         // client mode: per-request latency budget (v3 frames)
+  uint64_t deadline_us = 0;         // client mode: per-request latency budget
   bool deadline_us_set = false;
   unsigned request_timeout_ms = 0;  // client mode: local per-request answer timeout
   bool request_timeout_set = false;
@@ -185,16 +182,14 @@ void PrintUsage() {
       "  --admit    <n>           admission bound, queries pending+in-flight (default 65536)\n"
       "  --overflow <block|reject> backpressure when the bound is hit (default block)\n"
       "  --pipeline <n>           in-flight batch depth on the WalkService (default 2)\n"
-      "  --event-loop <on|off>    epoll event loop for the server's socket I/O (default\n"
-      "                           on; off = blocking reader thread per connection)\n"
       "  --workloads <spec>       register extra workloads on the server besides the\n"
       "                           primary --workload (always id 0): comma-separated\n"
       "                           name[:admit=<n>][:overflow=<block|reject>] entries,\n"
       "                           e.g. deepwalk:admit=1024:overflow=reject,ppr\n"
       "  --workload-id <n>        client mode: route requests to server workload <n>\n"
-      "                           (default 0; nonzero emits v2 request frames)\n"
+      "                           (default 0)\n"
       "  --deadline-us <n>        client mode: attach an <n>-microsecond latency budget\n"
-      "                           to each request (v3 frames); the server sheds lapsed\n"
+      "                           to each request; the server sheds lapsed\n"
       "                           work and answers \"deadline exceeded\"\n"
       "  --request-timeout-ms <n> client mode: fail a request locally when no answer\n"
       "                           arrives within <n> ms (also bounds connect)\n"
@@ -259,7 +254,7 @@ bool ParseArgs(int argc, char** argv, CliOptions& options) {
       {"--weights", &options.weights},   {"--out", &options.out_path},
       {"--connect", &options.connect},   {"--overflow", &options.overflow},
       {"--steal", &options.steal},       {"--adaptive-window", &options.adaptive_window},
-      {"--event-loop", &options.event_loop}, {"--workloads", &options.workloads},
+      {"--workloads", &options.workloads},
       {"--metrics-out", &options.metrics_out}, {"--trace-out", &options.trace_out},
       {"--jit", &options.jit},           {"--jit-cache-dir", &options.jit_cache_dir},
   };
@@ -298,8 +293,6 @@ bool ParseArgs(int argc, char** argv, CliOptions& options) {
         options.dispense_set = true;
       } else if (arg == "--adaptive-window") {
         options.adaptive_window_set = true;
-      } else if (arg == "--event-loop") {
-        options.event_loop_set = true;
       } else if (arg == "--jit") {
         options.jit_set = true;
       } else if (arg == "--jit-cache-dir") {
@@ -475,8 +468,7 @@ bool ParseArgs(int argc, char** argv, CliOptions& options) {
   // Resolve the on|off flags once, here, so every consumer reads one bool
   // instead of re-deriving the mapping from the raw text.
   return ParseOnOff("--steal", options.steal, options.steal_on) &&
-         ParseOnOff("--adaptive-window", options.adaptive_window, options.adaptive_window_on) &&
-         ParseOnOff("--event-loop", options.event_loop, options.event_loop_on);
+         ParseOnOff("--adaptive-window", options.adaptive_window, options.adaptive_window_on);
 }
 
 // --steal was parsed into steal_on by ParseArgs; --chunk range-checked too.
@@ -806,7 +798,6 @@ int Listen(const CliOptions& options, const Graph& graph, const WalkLogic& workl
 
   WalkServer::Options server_options;
   server_options.port = static_cast<uint16_t>(options.listen_port);
-  server_options.event_loop = options.event_loop_on;
   server_options.coalescer.max_delay_ms = options.coalesce_us / 1000.0;
   server_options.coalescer.adaptive_window = options.adaptive_window_on;
   server_options.coalescer.max_batch_queries = options.max_batch;
@@ -900,10 +891,9 @@ int Listen(const CliOptions& options, const Graph& graph, const WalkLogic& workl
   });
   std::printf(
       "listening on 127.0.0.1:%u | %u workers | coalesce window %u us | max batch %zu | "
-      "pipeline %u | overflow %s | %s | EOF or \"quit\" stops\n",
+      "pipeline %u | overflow %s | EOF or \"quit\" stops\n",
       server.port(), service->num_threads(), options.coalesce_us, options.max_batch,
-      service->pipeline_depth(), options.overflow.c_str(),
-      options.event_loop_on ? "epoll event loop" : "blocking reader threads");
+      service->pipeline_depth(), options.overflow.c_str());
   std::fflush(stdout);
 
   // Wait for an operator stop — stdin EOF or "quit" (interactive and script
@@ -1042,12 +1032,8 @@ int Run(const CliOptions& options) {
     std::fprintf(stderr, "--adaptive-window applies only to --listen mode\n");
     return kExitUsage;
   }
-  // Event-loop selection and workload registration exist only on the TCP
-  // server; workload routing only in the client. Reject rather than ignore.
-  if (options.event_loop_set && options.listen_port < 0) {
-    std::fprintf(stderr, "--event-loop applies only to --listen mode\n");
-    return kExitUsage;
-  }
+  // Workload registration exists only on the TCP server; workload routing
+  // only in the client. Reject rather than ignore.
   if (!options.workloads.empty() && options.listen_port < 0) {
     std::fprintf(stderr, "--workloads applies only to --listen mode\n");
     return kExitUsage;

@@ -46,56 +46,29 @@ BatchCoalescer::BatchCoalescer(WalkService& service, Options options)
 
 BatchCoalescer::~BatchCoalescer() { Shutdown(); }
 
-bool BatchCoalescer::Enqueue(std::vector<NodeId> starts, DoneFn done, PlaceFn place,
-                             Deadline deadline) {
-  return EnqueueLocked(starts, done, place, deadline, /*allow_block=*/true) ==
-         AdmitStatus::kAdmitted;
-}
-
-BatchCoalescer::AdmitStatus BatchCoalescer::TryEnqueue(std::vector<NodeId>& starts, DoneFn& done,
-                                                       PlaceFn& place, Deadline& deadline) {
-  return EnqueueLocked(starts, done, place, deadline, /*allow_block=*/false);
-}
-
 size_t BatchCoalescer::outstanding_queries() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return pending_queries_ + inflight_queries_;
 }
 
-BatchCoalescer::AdmitStatus BatchCoalescer::EnqueueLocked(std::vector<NodeId>& starts, DoneFn& done,
-                                                          PlaceFn& place, Deadline& deadline,
-                                                          bool allow_block) {
+BatchCoalescer::AdmitStatus BatchCoalescer::TryEnqueue(std::vector<NodeId>& starts, DoneFn& done,
+                                                       PlaceFn& place, Deadline& deadline) {
   size_t queries = starts.size();
-  std::unique_lock<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   // Admission control. The idle special case (outstanding == 0) admits
   // requests larger than the whole bound — otherwise they could never run.
-  auto has_space = [this, queries] {
-    size_t outstanding = pending_queries_ + inflight_queries_;
-    return outstanding == 0 || outstanding + queries <= options_.max_outstanding_queries;
-  };
-  if (shutdown_) {
+  size_t outstanding = pending_queries_ + inflight_queries_;
+  bool has_space = outstanding == 0 || outstanding + queries <= options_.max_outstanding_queries;
+  if (shutdown_ || (!has_space && options_.overflow == OverflowPolicy::kReject)) {
     requests_rejected_.fetch_add(1, std::memory_order_relaxed);
     m_rejected_->Add(1);
     return AdmitStatus::kRejected;
   }
-  if (!has_space()) {
-    if (options_.overflow == OverflowPolicy::kReject) {
-      requests_rejected_.fetch_add(1, std::memory_order_relaxed);
-      m_rejected_->Add(1);
-      return AdmitStatus::kRejected;
-    }
-    if (!allow_block) {
-      // Not a rejection: nothing was dropped, the caller will re-present
-      // the same request after a batch completes frees space.
-      m_would_block_->Add(1);
-      return AdmitStatus::kWouldBlock;
-    }
-    cv_space_.wait(lock, [&] { return shutdown_ || has_space(); });
-    if (shutdown_) {
-      requests_rejected_.fetch_add(1, std::memory_order_relaxed);
-      m_rejected_->Add(1);
-      return AdmitStatus::kRejected;
-    }
+  if (!has_space) {
+    // Not a rejection: nothing was dropped, the caller will re-present
+    // the same request after a batch completion frees space.
+    m_would_block_->Add(1);
+    return AdmitStatus::kWouldBlock;
   }
   auto now = std::chrono::steady_clock::now();
   if (options_.adaptive_window) {
@@ -211,7 +184,7 @@ void BatchCoalescer::FlushWithLock(std::unique_lock<std::mutex>& lock, size_t re
 
   // Build and submit the batch outside the lock: concatenating starts and
   // prefilling a potentially multi-megabyte arena must not stall every
-  // concurrent Enqueue. The flusher is the only submitter and this
+  // concurrent admission. The flusher is the only submitter and this
   // function is only ever entered from its loop, so dropping the lock
   // cannot reorder submissions — the (arrival order -> global id) mapping
   // is pinned by the single-threaded flush order itself.
@@ -219,7 +192,6 @@ void BatchCoalescer::FlushWithLock(std::unique_lock<std::mutex>& lock, size_t re
   if (!expired.empty()) {
     m_expired_flush_->Add(expired.size());
     m_outstanding_->Set(static_cast<int64_t>(outstanding_queries()));
-    cv_space_.notify_all();
     for (PendingRequest& request : expired) {
       if (request.deadline.expired) {
         request.deadline.expired();
@@ -399,7 +371,6 @@ void BatchCoalescer::CompleteLoop() {
         inflight_queries_ -= request.starts.size();
       }
       m_outstanding_->Set(static_cast<int64_t>(pending_queries_ + inflight_queries_));
-      cv_space_.notify_all();
       continue;
     }
     if (cancelled) {
@@ -424,7 +395,6 @@ void BatchCoalescer::CompleteLoop() {
         inflight_queries_ -= cancelled_queries;
         m_outstanding_->Set(static_cast<int64_t>(pending_queries_ + inflight_queries_));
       }
-      cv_space_.notify_all();
       if (on_batch_complete_) {
         on_batch_complete_();
       }
@@ -470,7 +440,6 @@ void BatchCoalescer::CompleteLoop() {
       inflight_queries_ -= offset;
       m_outstanding_->Set(static_cast<int64_t>(pending_queries_ + inflight_queries_));
     }
-    cv_space_.notify_all();
     if (on_batch_complete_) {
       on_batch_complete_();
     }
@@ -489,7 +458,6 @@ void BatchCoalescer::Shutdown() {
     completer = std::move(completer_);
   }
   cv_flush_.notify_all();
-  cv_space_.notify_all();
   cv_complete_.notify_all();
   if (flusher.joinable()) {
     flusher.join();

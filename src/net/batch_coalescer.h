@@ -2,14 +2,14 @@
 //
 // Network clients send small requests (often a single start node); the
 // WalkService is happiest with scheduler-sized batches. The BatchCoalescer
-// sits between them: Enqueue() admits a request into the pending window, a
+// sits between them: TryEnqueue() admits a request into the pending window, a
 // flusher thread merges everything pending into one WalkBatch when the
 // window fills (max_batch_queries) or its deadline expires (max_delay_ms
 // after the first pending arrival), and a completer thread carves each
 // finished batch back into per-request results, invoking the request
 // callbacks with their own path rows and service-global first query id.
 //
-// Ordering and determinism: requests join the merged batch in Enqueue
+// Ordering and determinism: requests join the merged batch in admission
 // order, and only the flusher submits to the service, so the mapping from
 // arrival order to global query ids is exactly the mapping a client would
 // get submitting the same requests directly — coalescing (any window, any
@@ -17,11 +17,13 @@
 //
 // Backpressure: admission is bounded by max_outstanding_queries, counting
 // pending *and* in-flight queries — the window cannot hide a service that
-// has fallen behind. Overflow either blocks the caller (kBlock, per-
-// connection reader threads absorb the stall, which is TCP's own flow
-// control) or rejects immediately (kReject, the server answers kOverloaded
-// and the client decides). A request larger than the whole bound is
-// admitted only when the coalescer is idle, so it can never deadlock.
+// has fallen behind. Admission never waits. On overflow it either answers
+// kWouldBlock (kBlock: nothing is dropped; the WalkServer parks the request
+// and stops reading that connection until a batch completion frees space,
+// so TCP flow control carries the stall) or rejects (kReject: the server
+// answers kOverloaded and the client decides). A request larger than the
+// whole bound is admitted only when the coalescer is idle, so it can never
+// deadlock.
 #ifndef FLEXIWALKER_SRC_NET_BATCH_COALESCER_H_
 #define FLEXIWALKER_SRC_NET_BATCH_COALESCER_H_
 
@@ -47,8 +49,8 @@ namespace flexi {
 class BatchCoalescer {
  public:
   enum class OverflowPolicy {
-    kBlock,   // Enqueue waits for space (socket readers stall => TCP backpressure)
-    kReject,  // Enqueue returns false immediately; caller reports kOverloaded
+    kBlock,   // TryEnqueue answers kWouldBlock; the server parks the request
+    kReject,  // TryEnqueue answers kRejected; the server answers kOverloaded
   };
 
   struct Options {
@@ -71,8 +73,8 @@ class BatchCoalescer {
     // default so fixed-window behavior is exact; the CLI serving mode turns
     // it on (--adaptive-window).
     bool adaptive_window = false;
-    // Admission bound: pending + in-flight queries. Beyond it, Enqueue
-    // blocks or rejects per `overflow`.
+    // Admission bound: pending + in-flight queries. Beyond it, TryEnqueue
+    // answers per `overflow`.
     size_t max_outstanding_queries = 1 << 16;
     OverflowPolicy overflow = OverflowPolicy::kBlock;
     // The workload="<label>" value on this coalescer's registry series
@@ -82,7 +84,7 @@ class BatchCoalescer {
   };
 
   // Where an admitted request's path rows should be written. A request's
-  // PlaceFn (optional Enqueue argument) is called once, on the flusher
+  // PlaceFn (optional TryEnqueue argument) is called once, on the flusher
   // thread, just before its batch is submitted: return `rows` pointing at
   // caller-owned storage of num_queries * path_stride NodeIds — contiguous,
   // sizeof(NodeId)-aligned, prefilled with kInvalidNode — and the
@@ -117,7 +119,7 @@ class BatchCoalescer {
   };
 
   // Invoked exactly once per admitted request, from the completer thread.
-  // Must not call back into Enqueue/Shutdown (it may, however, write to
+  // Must not call back into TryEnqueue/Shutdown (it may, however, write to
   // sockets — the server's response path).
   using DoneFn = std::function<void(RequestResult)>;
 
@@ -129,7 +131,7 @@ class BatchCoalescer {
   // server's callback answers the client kDeadlineExceeded.
   using ExpireFn = std::function<void()>;
 
-  // A request's deadline, given at Enqueue/TryEnqueue. `at_us` is absolute
+  // A request's deadline, given at TryEnqueue. `at_us` is absolute
   // on the obs::NowMicros() timebase (the caller anchors the wire's
   // relative budget at decode); 0 = no deadline, never shed. `expired` may
   // be empty (shed silently).
@@ -141,8 +143,9 @@ class BatchCoalescer {
   // Optional, runs on the completer thread after every callback of one
   // batch has run. The WalkServer uses it to flush per-connection corked
   // response writes — a coalesced batch completing N requests on one
-  // connection then costs one send() instead of N. Set before the first
-  // Enqueue.
+  // connection then costs one send() instead of N. It also frees admission
+  // space, so the server unparks connections here. Set before the first
+  // TryEnqueue.
   void SetBatchCompleteHook(std::function<void()> hook) { on_batch_complete_ = std::move(hook); }
 
   // The service must outlive the coalescer and must not be Shutdown()
@@ -155,28 +158,20 @@ class BatchCoalescer {
   BatchCoalescer(const BatchCoalescer&) = delete;
   BatchCoalescer& operator=(const BatchCoalescer&) = delete;
 
-  // Admits the request into the current window. Returns false — and never
-  // invokes `done` (nor `place`) — when the request is rejected (kReject
-  // policy with the bound exceeded, or the coalescer is shut down). `place`
+  // Admits the request into the current window, or says why not:
+  //  - kRejected: kReject policy with the bound exceeded, or the coalescer
+  //    is shut down (callers answer kShuttingDown from their own state);
+  //  - kWouldBlock: kBlock policy with the bound exceeded. Nothing was
+  //    dropped: the caller parks the request and presents it again after a
+  //    batch completes.
+  // `done` (and `place`) run only for an admitted request. `place`
   // optionally scatters the request's rows into caller-owned storage (see
   // Placement); requests with and without placements coalesce into the same
-  // batches. `deadline` optionally bounds the request's life: a member
-  // whose deadline passes before its batch is built is dropped at flush
-  // (ExpireFn, not DoneFn), and a flushed batch whose *every* member
-  // carries a deadline is cancelled cooperatively once the last of them
-  // lapses (SchedulerOptions::cancel through WalkService::SubmitInto).
-  bool Enqueue(std::vector<NodeId> starts, DoneFn done, PlaceFn place, Deadline deadline);
-  bool Enqueue(std::vector<NodeId> starts, DoneFn done, PlaceFn place = nullptr) {
-    return Enqueue(std::move(starts), std::move(done), std::move(place), Deadline());
-  }
-
-  // Non-blocking admission for callers that must never sleep — the epoll
-  // event loop, whose thread multiplexes every connection. Identical to
-  // Enqueue except that under kBlock with the bound exceeded it returns
-  // kWouldBlock immediately instead of waiting on cv_space_; the caller
-  // parks the request (and stops reading that connection) and retries when
-  // a batch completes. kReject still maps to kRejected, shutdown to
-  // kRejected as well (callers answer kShuttingDown from their own state).
+  // batches. `deadline` optionally bounds the request's life: a member whose
+  // deadline passes before its batch is built is dropped at flush (ExpireFn,
+  // not DoneFn), and a flushed batch whose *every* member carries a deadline
+  // is cancelled cooperatively once the last of them lapses
+  // (SchedulerOptions::cancel through WalkService::SubmitInto).
   //
   // The arguments are lvalue references so a parked retry is free: they are
   // moved from only on kAdmitted and left untouched otherwise — the caller
@@ -247,18 +242,13 @@ class BatchCoalescer {
   // Called by the flusher with `lock` (on mutex_) held; moves the first
   // `request_count` pending requests into one in-flight batch and submits
   // it to the service. Drops the lock around the batch build + arena
-  // allocation + Submit (so big flushes don't stall Enqueue) and retakes
+  // allocation + Submit (so big flushes don't stall admission) and retakes
   // it before queueing the in-flight entry; single-flusher ordering keeps
   // the arrival-order -> global-id mapping intact. `reason` labels the
   // flush in the registry: "size", "deadline", "sparse", "single", or
   // "shutdown".
   void FlushWithLock(std::unique_lock<std::mutex>& lock, size_t request_count,
                      const char* reason);
-
-  // Shared admission body: blocks on cv_space_ only when `allow_block`;
-  // moves from the arguments only on kAdmitted.
-  AdmitStatus EnqueueLocked(std::vector<NodeId>& starts, DoneFn& done, PlaceFn& place,
-                            Deadline& deadline, bool allow_block);
 
   WalkService& service_;
   Options options_;
@@ -267,7 +257,6 @@ class BatchCoalescer {
   mutable std::mutex mutex_;
   std::condition_variable cv_flush_;       // flusher waits for work/deadline
   std::condition_variable cv_complete_;    // completer waits for in-flight batches
-  std::condition_variable cv_space_;       // blocked producers wait for room
   std::vector<PendingRequest> pending_;
   size_t pending_queries_ = 0;
   size_t inflight_queries_ = 0;

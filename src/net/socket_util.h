@@ -1,7 +1,7 @@
-// Tiny shared socket helpers for the net layer. Header-only on purpose:
-// wire.h stays a pure framing module with no socket dependency, and the
-// server/client share one definition of the send loop instead of diverging
-// copies.
+// Tiny shared socket helpers for the net layer: the client's blocking send
+// loop, the server's gathered nonblocking send, and the sendmsg() test seam
+// both go through. Header-only on purpose: wire.h stays a pure framing
+// module with no socket dependency.
 #ifndef FLEXIWALKER_SRC_NET_SOCKET_UTIL_H_
 #define FLEXIWALKER_SRC_NET_SOCKET_UTIL_H_
 
@@ -116,14 +116,6 @@ inline SendResult SendVec(int fd, struct iovec*& iov, size_t& count) {
     }
   }
   return SendResult::kDone;
-}
-
-// Blocking-socket convenience wrapper: drains everything or reports a dead
-// peer. kAgain from a blocking socket (possible under SO_SNDTIMEO) is
-// treated as dead — the legacy thread-per-connection write path has no way
-// to resume later.
-inline bool SendAllVec(int fd, struct iovec* iov, size_t count) {
-  return SendVec(fd, iov, count) == SendResult::kDone;
 }
 
 }  // namespace flexi

@@ -98,7 +98,7 @@ bool WalkClient::Connect(const std::string& host, uint16_t port, std::string* er
   if (options_.request_timeout_ms > 0) {
     // Pace the reader's recv so per-tag timers fire without a dedicated
     // timer thread: each SO_RCVTIMEO expiry pops the reader out of recv to
-    // sweep for lapsed requests (ReaderLoop's EAGAIN branch).
+    // sweep for lapsed requests (ReceiveLoop's EAGAIN branch).
     uint32_t tick_ms =
         std::max<uint32_t>(1, std::min<uint32_t>(options_.request_timeout_ms / 4, 50));
     timeval tv{};
@@ -112,7 +112,7 @@ bool WalkClient::Connect(const std::string& host, uint16_t port, std::string* er
     std::lock_guard<std::mutex> lock(mutex_);
     open_ = true;
   }
-  reader_ = std::thread([this] { ReaderLoop(); });
+  reader_ = std::thread([this] { ReceiveLoop(); });
   return true;
 }
 
@@ -315,7 +315,7 @@ void WalkClient::SweepExpired() {
   }
 }
 
-void WalkClient::ReaderLoop() {
+void WalkClient::ReceiveLoop() {
   FrameDecoder decoder;
   std::vector<uint8_t> chunk(64 << 10);
   for (;;) {
@@ -423,7 +423,7 @@ void WalkClient::ReaderLoop() {
               std::make_exception_ptr(ServerError(frame.error.code, reason)));
         }
       }
-      // A kRequest frame from a server is nonsense; ignore it rather than
+      // A request frame from a server is nonsense; ignore it rather than
       // tearing down a connection that is otherwise consistent.
     }
   }

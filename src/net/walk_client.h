@@ -28,10 +28,9 @@
 //    are counted as flexi_client_retries_total{reason=...}.
 //
 // Deadlines: Submit/Walk take an optional deadline_us — a *relative* µs
-// budget that travels in a kRequestV3 frame (0 sends v1/v2 and never
-// sheds). The server anchors it at decode and may answer kDeadlineExceeded
-// from any shedding stage; each Walk() retry attempt carries a fresh
-// budget.
+// budget carried in the request frame (0 = none, never shed). The server
+// anchors it at decode and may answer kDeadlineExceeded from any shedding
+// stage; each Walk() retry attempt carries a fresh budget.
 //
 // Thread safety: Submit may be called from any thread (sends are
 // serialized); Connect/Close/Walk-with-retries are not safe to race with
@@ -129,11 +128,9 @@ class WalkClient {
   // per-request errors throw ServerError; an armed request_timeout_ms throws
   // RequestTimeoutError.
   //
-  // `workload_id` routes to a server-side registered workload. 0 (the
-  // default workload) travels as a v1 kRequest frame, so a client that
-  // never routes stays wire-compatible with pre-v2 servers; non-zero ids
-  // need a v2-aware server (kRequestV2 frames). `deadline_us` > 0 attaches
-  // a relative latency budget (kRequestV3 frames, v3-aware servers).
+  // `workload_id` routes to a server-side registered workload (0 = the
+  // default workload). `deadline_us` > 0 attaches a relative latency
+  // budget.
   std::future<Result> Submit(std::vector<NodeId> starts, uint32_t workload_id = 0,
                              uint64_t deadline_us = 0);
 
@@ -161,7 +158,7 @@ class WalkClient {
   uint64_t retries_attempted() const { return retries_attempted_; }
 
  private:
-  void ReaderLoop();
+  void ReceiveLoop();
   // As Submit, also reporting the wire tag used (for the retry loop's
   // bookkeeping).
   std::future<Result> SubmitTagged(std::vector<NodeId> starts, uint32_t workload_id,

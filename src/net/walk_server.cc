@@ -157,13 +157,8 @@ bool WalkServer::Start(std::string* error) {
     return fail("getsockname");
   }
   port_ = ntohs(addr.sin_port);
-  if (!options_.event_loop) {
-    started_ = true;
-    acceptor_ = std::thread([this] { AcceptLoop(); });
-    return true;
-  }
-  // Event mode: nonblocking listener polled by loop 0; each loop owns an
-  // epoll set plus an eventfd other threads write to hand it work.
+  // Nonblocking listener polled by loop 0; each loop owns an epoll set plus
+  // an eventfd other threads write to hand it work.
   if (::fcntl(listen_fd_, F_SETFL, O_NONBLOCK) != 0) {
     return fail("fcntl(O_NONBLOCK)");
   }
@@ -199,10 +194,10 @@ bool WalkServer::Start(std::string* error) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared request path
+// Request path
 // ---------------------------------------------------------------------------
 
-WalkServer::HandleStatus WalkServer::HandleRequest(EventLoop* loop,
+WalkServer::HandleStatus WalkServer::HandleRequest(EventLoop& loop,
                                                    const std::shared_ptr<Connection>& conn,
                                                    WireRequest& request) {
   requests_received_.fetch_add(1, std::memory_order_relaxed);
@@ -210,28 +205,20 @@ WalkServer::HandleStatus WalkServer::HandleRequest(EventLoop* loop,
   // microseconds ago — close enough to anchor decode -> response-cork.
   uint64_t decode_us = obs::NowMicros();
   uint64_t tag = request.tag;
-  auto send_error = [&](WireErrorCode code, const std::string& message) {
-    if (loop != nullptr) {
-      CorkErrorEvent(*loop, conn, tag, code, message);
-    } else {
-      SendError(conn, tag, code, message);
-    }
-  };
   if (draining_.load(std::memory_order_acquire)) {
     // BeginDrain: nothing new is admitted, whatever the request looks like.
     // kDraining (not kShuttingDown) tells retry-capable clients the fleet
     // is fine — go hit a healthy replica.
-    requests_rejected_.fetch_add(1, std::memory_order_relaxed);
     ServerMetrics::Get().draining_rejects.Add(1);
-    send_error(WireErrorCode::kDraining, "server draining; no new requests are admitted");
+    RejectRequest(loop, conn, nullptr, tag, WireErrorCode::kDraining,
+                  "server draining; no new requests are admitted");
     return HandleStatus::kHandled;
   }
   if (request.workload_id >= workloads_.size()) {
-    requests_rejected_.fetch_add(1, std::memory_order_relaxed);
     ServerMetrics::Get().unknown_workload.Add(1);
-    send_error(WireErrorCode::kUnknownWorkload,
-               "unknown workload id " + std::to_string(request.workload_id) + " (server has " +
-                   std::to_string(workloads_.size()) + " registered)");
+    RejectRequest(loop, conn, nullptr, tag, WireErrorCode::kUnknownWorkload,
+                  "unknown workload id " + std::to_string(request.workload_id) +
+                      " (server has " + std::to_string(workloads_.size()) + " registered)");
     return HandleStatus::kHandled;
   }
   Workload& workload = *workloads_[request.workload_id];
@@ -239,45 +226,42 @@ WalkServer::HandleStatus WalkServer::HandleRequest(EventLoop* loop,
   workload.m_requests->Add(1);
   // Deadline anchor: the wire carries a *relative* budget; pin it to this
   // host's monotonic timebase here, at decode. The anchor is `recv_us` —
-  // when the bytes feeding the decoder left the socket — not this instant:
-  // a pipelined frame whose predecessors stalled in admission has already
-  // burned that wait out of its budget, and the shed below notices.
+  // when the bytes feeding the decoder left the socket, stamped by
+  // ReadReady before any frame decodes — not this instant: a pipelined
+  // frame whose predecessors parked in admission has already burned that
+  // wait out of its budget, and the shed below notices.
   uint64_t deadline_at_us = 0;
   if (request.deadline_us != 0) {
-    deadline_at_us = (conn->recv_us != 0 ? conn->recv_us : decode_us) + request.deadline_us;
+    deadline_at_us = conn->recv_us + request.deadline_us;
     if (deadline_at_us <= obs::NowMicros()) {
       // Decode-stage shed: the budget lapsed before admission was even
       // attempted. Cheapest possible reject — no callbacks were built, no
       // quota was touched.
       ServerMetrics::Get().deadline_decode.Add(1);
-      requests_rejected_.fetch_add(1, std::memory_order_relaxed);
-      workload.requests_rejected.fetch_add(1, std::memory_order_relaxed);
-      workload.m_rejected->Add(1);
-      send_error(WireErrorCode::kDeadlineExceeded, "deadline expired before admission");
+      RejectRequest(loop, conn, &workload, tag, WireErrorCode::kDeadlineExceeded,
+                    "deadline expired before admission");
       return HandleStatus::kHandled;
     }
   }
   if (request.starts.size() > options_.max_request_starts) {
-    requests_rejected_.fetch_add(1, std::memory_order_relaxed);
-    workload.requests_rejected.fetch_add(1, std::memory_order_relaxed);
-    workload.m_rejected->Add(1);
-    send_error(WireErrorCode::kRequestTooLarge,
-               "request has " + std::to_string(request.starts.size()) +
-                   " starts; the per-request cap is " +
-                   std::to_string(options_.max_request_starts));
+    RejectRequest(loop, conn, &workload, tag, WireErrorCode::kRequestTooLarge,
+                  "request has " + std::to_string(request.starts.size()) +
+                      " starts; the per-request cap is " +
+                      std::to_string(options_.max_request_starts));
     return HandleStatus::kHandled;
   }
   for (NodeId start : request.starts) {
     if (start >= num_nodes_) {
-      requests_rejected_.fetch_add(1, std::memory_order_relaxed);
-      workload.requests_rejected.fetch_add(1, std::memory_order_relaxed);
-      workload.m_rejected->Add(1);
-      send_error(WireErrorCode::kNodeOutOfRange,
-                 "start node " + std::to_string(start) + " out of range (graph has " +
-                     std::to_string(num_nodes_) + " nodes)");
+      RejectRequest(loop, conn, &workload, tag, WireErrorCode::kNodeOutOfRange,
+                    "start node " + std::to_string(start) + " out of range (graph has " +
+                        std::to_string(num_nodes_) + " nodes)");
       return HandleStatus::kHandled;
     }
   }
+  ParkedRequest admission;
+  admission.tag = tag;
+  admission.workload_id = request.workload_id;
+  admission.starts = std::move(request.starts);
   // Scatter-arena response path: preallocate the response frame and hand
   // its payload region to the coalescer as the request's row placement —
   // the scheduler's workers then write the walk's wire bytes directly
@@ -286,10 +270,9 @@ WalkServer::HandleStatus WalkServer::HandleRequest(EventLoop* loop,
   // only on little-endian hosts; big-endian declines placement and keeps
   // the serialize-on-completion path.
   auto response_frame = std::make_shared<std::vector<uint8_t>>();
-  BatchCoalescer::PlaceFn place;
   if constexpr (std::endian::native == std::endian::little) {
-    place = [response_frame, tag](size_t num_queries,
-                                  uint32_t path_stride) -> BatchCoalescer::Placement {
+    admission.place = [response_frame, tag](size_t num_queries,
+                                            uint32_t path_stride) -> BatchCoalescer::Placement {
       NodeId* rows = BuildPlacedResponseFrame(*response_frame, tag, path_stride,
                                               static_cast<uint32_t>(num_queries));
       return {rows, response_frame};
@@ -299,18 +282,22 @@ WalkServer::HandleStatus WalkServer::HandleRequest(EventLoop* loop,
   // capture even after the connection leaves every server-side list.
   uint32_t workload_id = request.workload_id;
   Workload* workload_ptr = &workload;
-  BatchCoalescer::DoneFn done = [this, conn, tag, response_frame, decode_us, workload_id,
-                                 workload_ptr](BatchCoalescer::RequestResult result) {
+  admission.done = [this, conn, tag, response_frame, decode_us, workload_id,
+                    workload_ptr](BatchCoalescer::RequestResult result) {
     if (result.placed) {
       PatchPlacedResponseQueryId(*response_frame, result.first_query_id);
-      CorkPlacedFrame(conn, response_frame);
+      std::span<const uint8_t> bytes = PlacedFrameBytes(*response_frame);
+      Cork(conn, {bytes.data(), bytes.size(), response_frame});
     } else {
       // Fallback: the view aliases the batch arena (kept alive by
-      // result.keepalive across this call); CorkResponse serializes it into
-      // an owned frame — the only copy on the way out.
-      WireResponseView response{tag, result.first_query_id, result.path_stride,
-                                static_cast<uint32_t>(result.num_queries), result.paths};
-      CorkResponse(conn, response);
+      // result.keepalive across this call); serializing it into an owned
+      // frame is the only copy on the way out.
+      auto frame = std::make_shared<std::vector<uint8_t>>();
+      AppendResponseFrame(*frame, WireResponseView{tag, result.first_query_id,
+                                                   result.path_stride,
+                                                   static_cast<uint32_t>(result.num_queries),
+                                                   result.paths});
+      Cork(conn, {frame->data(), frame->size(), std::move(frame)});
     }
     // The response is corked (the batch hook flushes it next): close the
     // request's latency span and count the completion.
@@ -328,64 +315,22 @@ WalkServer::HandleStatus WalkServer::HandleRequest(EventLoop* loop,
   // answers through this ExpireFn — which runs on the flusher/completer
   // thread, so it corks (never sends inline) and settles the same
   // pending_requests slot DoneFn would have.
-  BatchCoalescer::Deadline deadline;
   if (deadline_at_us != 0) {
-    deadline.at_us = deadline_at_us;
-    deadline.expired = [this, conn, tag] {
-      CorkError(conn, tag, WireErrorCode::kDeadlineExceeded,
-                "deadline exceeded before completion");
+    admission.deadline.at_us = deadline_at_us;
+    admission.deadline.expired = [this, conn, tag] {
+      auto frame = std::make_shared<std::vector<uint8_t>>();
+      AppendErrorFrame(*frame, {tag, WireErrorCode::kDeadlineExceeded,
+                                "deadline exceeded before completion"});
+      Cork(conn, {frame->data(), frame->size(), std::move(frame)});
       conn->pending_requests.fetch_sub(1, std::memory_order_acq_rel);
     };
   }
-  conn->pending_requests.fetch_add(1, std::memory_order_acq_rel);
-  if (loop == nullptr) {
-    // Reader-thread mode: kBlock stalls this thread, which is this
-    // connection's whole read side — TCP flow control does the rest.
-    bool admitted = workload.coalescer->Enqueue(std::move(request.starts), std::move(done),
-                                                std::move(place), std::move(deadline));
-    if (!admitted) {
-      conn->pending_requests.fetch_sub(1, std::memory_order_acq_rel);
-      requests_rejected_.fetch_add(1, std::memory_order_relaxed);
-      workload.requests_rejected.fetch_add(1, std::memory_order_relaxed);
-      workload.m_rejected->Add(1);
-      send_error(stopping_.load() ? WireErrorCode::kShuttingDown : WireErrorCode::kOverloaded,
-                 stopping_.load() ? "server shutting down" : "admission queue full");
-    }
+  if (TryAdmit(loop, conn, workload, admission) != BatchCoalescer::AdmitStatus::kWouldBlock) {
     return HandleStatus::kHandled;
   }
-  // Event mode: never block the loop. TryEnqueue moves from its arguments
-  // only on admission, so a would-block keeps the request intact for
-  // parking.
-  auto status = workload.coalescer->TryEnqueue(request.starts, done, place, deadline);
-  if (status == BatchCoalescer::AdmitStatus::kWouldBlock) {
-    // Register on the parked list *before* the re-try: a batch completing
-    // between a failed admit and the registration would otherwise swap an
-    // empty list and never wake us. After registration either the re-try
-    // admits, or some batch is still outstanding and its completion sees
-    // the entry. Stale entries (re-try admitted) cost one no-op unpark.
-    {
-      std::lock_guard<std::mutex> lock(workload.parked_mutex);
-      workload.parked.push_back(conn);
-    }
-    status = workload.coalescer->TryEnqueue(request.starts, done, place, deadline);
-  }
-  if (status == BatchCoalescer::AdmitStatus::kAdmitted) {
-    return HandleStatus::kHandled;
-  }
-  conn->pending_requests.fetch_sub(1, std::memory_order_acq_rel);
-  if (status == BatchCoalescer::AdmitStatus::kRejected) {
-    requests_rejected_.fetch_add(1, std::memory_order_relaxed);
-    workload.requests_rejected.fetch_add(1, std::memory_order_relaxed);
-    workload.m_rejected->Add(1);
-    send_error(stopping_.load() ? WireErrorCode::kShuttingDown : WireErrorCode::kOverloaded,
-               stopping_.load() ? "server shutting down" : "admission queue full");
-    return HandleStatus::kHandled;
-  }
-  // kWouldBlock twice: park the decoded request and stop reading this
+  // kBlock quota full: park the decoded request and stop reading this
   // connection until the workload completes a batch.
-  conn->parked =
-      ParkedRequest{tag, request.workload_id, std::move(request.starts), std::move(done),
-                    std::move(place), std::move(deadline)};
+  conn->parked = std::move(admission);
   {
     std::lock_guard<std::mutex> lock(conn->write_mutex);
     if (conn->want_read) {
@@ -396,120 +341,51 @@ WalkServer::HandleStatus WalkServer::HandleRequest(EventLoop* loop,
   return HandleStatus::kWouldBlock;
 }
 
-// ---------------------------------------------------------------------------
-// Thread mode (legacy reader-per-connection)
-// ---------------------------------------------------------------------------
-
-void WalkServer::AcceptLoop() {
-  for (;;) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return;  // listener shut down (Stop) or unrecoverable
-    }
-    if (stopping_.load()) {
-      ::close(fd);
-      return;
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (options_.send_buffer_bytes > 0) {
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.send_buffer_bytes, sizeof(int));
-    }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().connections.Add(1);
-    auto conn = std::make_shared<Connection>();
-    conn->fd = fd;
+BatchCoalescer::AdmitStatus WalkServer::TryAdmit(EventLoop& loop,
+                                                 const std::shared_ptr<Connection>& conn,
+                                                 Workload& workload, ParkedRequest& request) {
+  conn->pending_requests.fetch_add(1, std::memory_order_acq_rel);
+  auto status = workload.coalescer->TryEnqueue(request.starts, request.done, request.place,
+                                               request.deadline);
+  if (status == BatchCoalescer::AdmitStatus::kWouldBlock) {
+    // Register on the parked list *before* the re-try: a batch completing
+    // between a failed admit and the registration would otherwise swap an
+    // empty list and never wake us. After registration either the re-try
+    // admits, or some batch is still outstanding and its completion sees
+    // the entry. Stale entries (re-try admitted) cost one no-op unpark.
     {
-      std::lock_guard<std::mutex> lock(connections_mutex_);
-      // Reap connections whose reader already exited, so a long-lived
-      // server with churning clients doesn't accumulate dead entries.
-      for (auto it = connections_.begin(); it != connections_.end();) {
-        if ((*it)->done.load() && (*it)->reader.joinable()) {
-          (*it)->reader.join();
-          it = connections_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      connections_.push_back(conn);
+      std::lock_guard<std::mutex> lock(workload.parked_mutex);
+      workload.parked.push_back(conn);
     }
-    conn->reader = std::thread([this, conn] { ReaderLoop(conn); });
+    status = workload.coalescer->TryEnqueue(request.starts, request.done, request.place,
+                                            request.deadline);
   }
+  if (status == BatchCoalescer::AdmitStatus::kAdmitted) {
+    return status;
+  }
+  conn->pending_requests.fetch_sub(1, std::memory_order_acq_rel);
+  if (status == BatchCoalescer::AdmitStatus::kRejected) {
+    bool stopping = stopping_.load();
+    RejectRequest(loop, conn, &workload, request.tag,
+                  stopping ? WireErrorCode::kShuttingDown : WireErrorCode::kOverloaded,
+                  stopping ? "server shutting down" : "admission queue full");
+  }
+  return status;
 }
 
-void WalkServer::SendBytes(const std::shared_ptr<Connection>& conn,
-                           const std::vector<uint8_t>& bytes) {
-  std::lock_guard<std::mutex> lock(conn->write_mutex);
-  if (!conn->writable) {
-    return;
+void WalkServer::RejectRequest(EventLoop& loop, const std::shared_ptr<Connection>& conn,
+                               Workload* workload, uint64_t tag, WireErrorCode code,
+                               const std::string& message) {
+  requests_rejected_.fetch_add(1, std::memory_order_relaxed);
+  if (workload != nullptr) {
+    workload->requests_rejected.fetch_add(1, std::memory_order_relaxed);
+    workload->m_rejected->Add(1);
   }
-  if (!SendAll(conn->fd, bytes.data(), bytes.size())) {
-    conn->writable = false;
-  }
-}
-
-void WalkServer::SendError(const std::shared_ptr<Connection>& conn, uint64_t tag,
-                           WireErrorCode code, const std::string& message) {
-  std::vector<uint8_t> bytes;
-  AppendErrorFrame(bytes, {tag, code, message});
-  SendBytes(conn, bytes);
-}
-
-void WalkServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
-  FrameDecoder decoder(options_.max_frame_payload);
-  std::vector<uint8_t> chunk(64 << 10);
-  bool closing = false;
-  while (!closing) {
-    ssize_t n = ::recv(conn->fd, chunk.data(), chunk.size(), 0);
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
-      break;  // peer closed, connection error, or Stop()'s SHUT_RD
-    }
-    conn->recv_us = obs::NowMicros();  // deadline anchor for these frames
-    decoder.Append(chunk.data(), static_cast<size_t>(n));
-    for (;;) {
-      WireFrame frame;
-      DecodeStatus status = decoder.Next(frame);
-      if (status == DecodeStatus::kNeedMore) {
-        break;
-      }
-      if (status == DecodeStatus::kFrame) {
-        ServerMetrics::Get().frames_decoded.Add(1);
-        if (frame.type == FrameType::kStatsRequest) {
-          HandleStatsRequest(nullptr, conn, frame.stats_request.tag);
-          continue;
-        }
-      }
-      if (status == DecodeStatus::kMalformed ||
-          (frame.type != FrameType::kRequest && frame.type != FrameType::kRequestV2 &&
-           frame.type != FrameType::kRequestV3)) {
-        frames_malformed_.fetch_add(1, std::memory_order_relaxed);
-        ServerMetrics::Get().frames_malformed.Add(1);
-        SendError(conn, 0, WireErrorCode::kMalformedFrame,
-                  "undecodable frame; closing connection");
-        // The byte stream is desynced for good: flush the error, then shut
-        // the socket both ways so the peer sees EOF immediately.
-        {
-          std::lock_guard<std::mutex> lock(conn->write_mutex);
-          conn->writable = false;
-          ::shutdown(conn->fd, SHUT_RDWR);
-        }
-        closing = true;
-        break;
-      }
-      HandleRequest(nullptr, conn, frame.request);
-    }
-  }
-  conn->done.store(true);
+  CorkErrorEvent(loop, conn, tag, code, message);
 }
 
 // ---------------------------------------------------------------------------
-// Event mode
+// Event loop
 // ---------------------------------------------------------------------------
 
 void WalkServer::PostCommand(size_t loop_index, Command command) {
@@ -637,12 +513,8 @@ void WalkServer::AnswerParkedExpired(EventLoop& loop, const std::shared_ptr<Conn
   // pre-admission expiry is the same "decode" stage as a shed in
   // HandleRequest, just noticed later.
   ServerMetrics::Get().deadline_decode.Add(1);
-  requests_rejected_.fetch_add(1, std::memory_order_relaxed);
-  Workload& workload = *workloads_[request.workload_id];
-  workload.requests_rejected.fetch_add(1, std::memory_order_relaxed);
-  workload.m_rejected->Add(1);
-  CorkErrorEvent(loop, conn, request.tag, WireErrorCode::kDeadlineExceeded,
-                 "deadline expired while parked for admission");
+  RejectRequest(loop, conn, workloads_[request.workload_id].get(), request.tag,
+                WireErrorCode::kDeadlineExceeded, "deadline expired while parked for admission");
   if (conn->open) {
     ResumeReads(loop, conn);
   }
@@ -849,19 +721,12 @@ void WalkServer::CorkFrameEvent(EventLoop& loop, const std::shared_ptr<Connectio
   }
 }
 
-void WalkServer::HandleStatsRequest(EventLoop* loop, const std::shared_ptr<Connection>& conn,
+void WalkServer::HandleStatsRequest(EventLoop& loop, const std::shared_ptr<Connection>& conn,
                                     uint64_t tag) {
   ServerMetrics::Get().stats_requests.Add(1);
-  WireStatsResponse response{tag, obs::MetricsRegistry::Global().RenderPrometheusText()};
-  if (loop != nullptr) {
-    auto frame = std::make_shared<std::vector<uint8_t>>();
-    AppendStatsResponseFrame(*frame, response);
-    CorkFrameEvent(*loop, conn, std::move(frame));
-  } else {
-    std::vector<uint8_t> bytes;
-    AppendStatsResponseFrame(bytes, response);
-    SendBytes(conn, bytes);
-  }
+  auto frame = std::make_shared<std::vector<uint8_t>>();
+  AppendStatsResponseFrame(*frame, {tag, obs::MetricsRegistry::Global().RenderPrometheusText()});
+  CorkFrameEvent(loop, conn, std::move(frame));
 }
 
 WalkServer::FrameProgress WalkServer::ProcessFrames(EventLoop& loop,
@@ -883,15 +748,13 @@ WalkServer::FrameProgress WalkServer::ProcessFrames(EventLoop& loop,
       }
     }
     if (status == DecodeStatus::kFrame && frame.type == FrameType::kStatsRequest) {
-      HandleStatsRequest(&loop, conn, frame.stats_request.tag);
+      HandleStatsRequest(loop, conn, frame.stats_request.tag);
       if (!conn->open) {
         return FrameProgress::kStopReading;
       }
       continue;
     }
-    if (status == DecodeStatus::kMalformed ||
-        (frame.type != FrameType::kRequest && frame.type != FrameType::kRequestV2 &&
-         frame.type != FrameType::kRequestV3)) {
+    if (status == DecodeStatus::kMalformed || frame.type != FrameType::kRequest) {
       frames_malformed_.fetch_add(1, std::memory_order_relaxed);
       ServerMetrics::Get().frames_malformed.Add(1);
       CorkErrorEvent(loop, conn, 0, WireErrorCode::kMalformedFrame,
@@ -918,7 +781,7 @@ WalkServer::FrameProgress WalkServer::ProcessFrames(EventLoop& loop,
     uint64_t admit_start_us = trace.enabled() ? obs::NowMicros() : 0;
     uint64_t request_tag = frame.request.tag;
     uint32_t request_workload = frame.request.workload_id;
-    HandleStatus handled = HandleRequest(&loop, conn, frame.request);
+    HandleStatus handled = HandleRequest(loop, conn, frame.request);
     if (trace.enabled()) {
       trace.Record("admit", request_tag, request_workload, admit_start_us, obs::NowMicros());
     }
@@ -972,7 +835,7 @@ void WalkServer::ReadReady(EventLoop& loop, const std::shared_ptr<Connection>& c
     }
     if (n == 0) {
       // Peer half-closed: stop reading, but deliver every response still
-      // owed (thread mode behaves the same — writes survive reader exit).
+      // owed.
       bool retire;
       {
         std::lock_guard<std::mutex> lock(conn->write_mutex);
@@ -1008,34 +871,13 @@ void WalkServer::HandleUnpark(EventLoop& loop, const std::shared_ptr<Connection>
     AnswerParkedExpired(loop, conn, std::move(request));
     return;
   }
-  Workload& workload = *workloads_[request.workload_id];
-  conn->pending_requests.fetch_add(1, std::memory_order_acq_rel);
-  auto status = workload.coalescer->TryEnqueue(request.starts, request.done, request.place,
-                                               request.deadline);
-  if (status == BatchCoalescer::AdmitStatus::kWouldBlock) {
-    {
-      std::lock_guard<std::mutex> lock(workload.parked_mutex);
-      workload.parked.push_back(conn);
-    }
-    status = workload.coalescer->TryEnqueue(request.starts, request.done, request.place,
-                                            request.deadline);
-    if (status == BatchCoalescer::AdmitStatus::kWouldBlock) {
-      conn->pending_requests.fetch_sub(1, std::memory_order_acq_rel);
-      conn->parked = std::move(request);
-      return;  // still no space; the registered entry gets the next wakeup
-    }
+  if (TryAdmit(loop, conn, *workloads_[request.workload_id], request) ==
+      BatchCoalescer::AdmitStatus::kWouldBlock) {
+    conn->parked = std::move(request);
+    return;  // still no space; the registered entry gets the next wakeup
   }
-  if (status == BatchCoalescer::AdmitStatus::kRejected) {
-    conn->pending_requests.fetch_sub(1, std::memory_order_acq_rel);
-    requests_rejected_.fetch_add(1, std::memory_order_relaxed);
-    workload.requests_rejected.fetch_add(1, std::memory_order_relaxed);
-    workload.m_rejected->Add(1);
-    CorkErrorEvent(loop, conn, request.tag,
-                   stopping_.load() ? WireErrorCode::kShuttingDown : WireErrorCode::kOverloaded,
-                   stopping_.load() ? "server shutting down" : "admission queue full");
-    if (!conn->open) {
-      return;
-    }
+  if (!conn->open) {
+    return;  // the rejection's error write found the peer gone
   }
   // Admitted (or rejected with the connection still up): resume reading.
   ResumeReads(loop, conn);
@@ -1106,56 +948,11 @@ void WalkServer::TeardownConnection(EventLoop& loop, const std::shared_ptr<Conne
 }
 
 // ---------------------------------------------------------------------------
-// Response path (both modes)
+// Response path
 // ---------------------------------------------------------------------------
 
-void WalkServer::CorkResponse(const std::shared_ptr<Connection>& conn,
-                              const WireResponseView& response) {
-  auto frame = std::make_shared<std::vector<uint8_t>>();
-  AppendResponseFrame(*frame, response);
-  ServerMetrics::Get().cork_bytes.Add(frame->size());
-  CorkEntry entry{frame->data(), frame->size(), std::move(frame)};
-  bool newly_dirty = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->write_mutex);
-    if (!conn->writable) {
-      return;
-    }
-    newly_dirty = conn->corked.empty();
-    conn->corked.push_back(std::move(entry));
-  }
-  if (newly_dirty) {
-    std::lock_guard<std::mutex> lock(corked_mutex_);
-    corked_connections_.push_back(conn);
-  }
-}
-
-void WalkServer::CorkError(const std::shared_ptr<Connection>& conn, uint64_t tag,
-                           WireErrorCode code, const std::string& message) {
-  auto frame = std::make_shared<std::vector<uint8_t>>();
-  AppendErrorFrame(*frame, {tag, code, message});
-  ServerMetrics::Get().cork_bytes.Add(frame->size());
-  CorkEntry entry{frame->data(), frame->size(), std::move(frame)};
-  bool newly_dirty = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->write_mutex);
-    if (!conn->writable) {
-      return;
-    }
-    newly_dirty = conn->corked.empty();
-    conn->corked.push_back(std::move(entry));
-  }
-  if (newly_dirty) {
-    std::lock_guard<std::mutex> lock(corked_mutex_);
-    corked_connections_.push_back(conn);
-  }
-}
-
-void WalkServer::CorkPlacedFrame(const std::shared_ptr<Connection>& conn,
-                                 std::shared_ptr<std::vector<uint8_t>> frame) {
-  std::span<const uint8_t> bytes = PlacedFrameBytes(*frame);
-  ServerMetrics::Get().cork_bytes.Add(bytes.size());
-  CorkEntry entry{bytes.data(), bytes.size(), std::move(frame)};
+void WalkServer::Cork(const std::shared_ptr<Connection>& conn, CorkEntry entry) {
+  ServerMetrics::Get().cork_bytes.Add(entry.size);
   bool newly_dirty = false;
   {
     std::lock_guard<std::mutex> lock(conn->write_mutex);
@@ -1179,35 +976,9 @@ void WalkServer::FlushCorkedWrites() {
     std::lock_guard<std::mutex> lock(corked_mutex_);
     dirty.swap(corked_connections_);
   }
-  if (!options_.event_loop) {
-    // Blocking sockets: one gathered send drains everything or the peer is
-    // dead. No resumption state to keep.
-    std::vector<iovec> iov;
-    for (const auto& conn : dirty) {
-      std::lock_guard<std::mutex> lock(conn->write_mutex);
-      if (conn->corked.empty()) {
-        continue;
-      }
-      if (conn->writable) {
-        iov.clear();
-        iov.reserve(conn->corked.size());
-        for (const CorkEntry& entry : conn->corked) {
-          iov.push_back({const_cast<uint8_t*>(entry.data), entry.size});
-        }
-        if (!SendAllVec(conn->fd, iov.data(), iov.size())) {
-          conn->writable = false;
-        }
-      }
-      conn->corked.clear();
-    }
-    return;
-  }
-  // Event mode: nonblocking drain; a partial send leaves the remainder
-  // corked with EPOLLOUT armed, so a slow client stalls only itself — this
-  // completer thread moves straight on to the next connection.
-  if (trace.enabled() && !dirty.empty()) {
-    trace.Record("flush", 0, 0, flush_start_us, obs::NowMicros());
-  }
+  // Nonblocking drain: a partial send leaves the remainder corked with
+  // EPOLLOUT armed, so a slow client stalls only itself — this completer
+  // thread moves straight on to the next connection.
   for (const auto& conn : dirty) {
     SendResult result;
     bool retire = false;
@@ -1224,6 +995,10 @@ void WalkServer::FlushCorkedWrites() {
       PostCommand(conn->loop, {Command::kTeardown, conn});
     }
   }
+  // Recorded after the sends, so the span is the socket-write stage.
+  if (trace.enabled() && !dirty.empty()) {
+    trace.Record("flush", 0, 0, flush_start_us, obs::NowMicros());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1239,7 +1014,7 @@ void WalkServer::BeginDrain(std::chrono::milliseconds grace) {
   if (started_ && !stopping_.load()) {
     // Stop accepting. Connections keep reading — their new requests are
     // answered kDraining by HandleRequest — and everything already admitted
-    // keeps completing through the still-running loops / reader threads.
+    // keeps completing through the still-running loops.
     ::shutdown(listen_fd_, SHUT_RDWR);
     auto grace_deadline = std::chrono::steady_clock::now() + grace;
     for (;;) {
@@ -1287,46 +1062,6 @@ void WalkServer::Stop() {
     }
     return;
   }
-  if (!options_.event_loop) {
-    // 1. Stop accepting: shutting the listener down pops the blocking accept.
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    if (acceptor_.joinable()) {
-      acceptor_.join();
-    }
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-
-    std::vector<std::shared_ptr<Connection>> connections;
-    {
-      std::lock_guard<std::mutex> lock(connections_mutex_);
-      connections.swap(connections_);
-    }
-    // 2. Stop reading: half-close each connection so readers drain out, but
-    // keep the write side up — admitted requests still get their responses.
-    for (auto& conn : connections) {
-      ::shutdown(conn->fd, SHUT_RD);
-    }
-    for (auto& conn : connections) {
-      if (conn->reader.joinable()) {
-        conn->reader.join();
-      }
-    }
-    // 3. Drain every workload: admitted requests complete and their
-    // response callbacks write to the still-open sockets.
-    for (auto& workload : workloads_) {
-      workload->coalescer->Shutdown();
-    }
-    // 4. Now nothing new can write: full-shutdown each socket so peers see
-    // EOF. The fds themselves close in ~Connection when the last reference
-    // (this vector, or a straggling callback) lets go.
-    for (auto& conn : connections) {
-      std::lock_guard<std::mutex> lock(conn->write_mutex);
-      conn->writable = false;
-      ::shutdown(conn->fd, SHUT_RDWR);
-    }
-    return;
-  }
-  // Event mode.
   // 1. Stop accepting and reading: the loops retire read interest on every
   // connection (parked requests get kShuttingDown) but stay alive to drive
   // EPOLLOUT drains.

@@ -9,13 +9,13 @@
 //                        the paths and the service-global first_query_id
 //   start out of range-> kError/kNodeOutOfRange for that request; the
 //                        connection stays up
-//   unknown workload  -> kError/kUnknownWorkload for that request (v2
-//                        routing to an unregistered id); connection stays up
+//   unknown workload  -> kError/kUnknownWorkload for that request (routing
+//                        to an unregistered id); connection stays up
 //   admission refused -> kError/kOverloaded (backpressure, kReject policy)
 //                        or the connection stops being read until a batch
 //                        completes (kBlock policy — TCP flow control pushes
 //                        the stall back to the client, never into the loop)
-//   expired deadline  -> kError/kDeadlineExceeded. A kRequestV3 deadline is
+//   expired deadline  -> kError/kDeadlineExceeded. A request's deadline is
 //                        anchored to this host's clock at decode and shed
 //                        wherever it lapses: pre-admission (here or while
 //                        parked), at coalescer flush, or mid-run via
@@ -26,34 +26,27 @@
 //   malformed frame   -> kError/kMalformedFrame, then the connection is
 //                        closed (the byte stream is desynced for good)
 //
-// Two reader architectures, selected by Options::event_loop:
-//
-//  - Event mode (default): a few event threads own every connection through
-//    epoll. Sockets are nonblocking; each connection runs its FrameDecoder
-//    incrementally as bytes arrive, and responses go out through a per-
-//    connection cork queue with EPOLLOUT-driven partial-write resumption —
-//    a slow or stalled client consumes its own cork memory and nothing
-//    else; the loop never blocks on any one socket. kBlock admission
-//    overflow *parks* the connection (EPOLLIN interest dropped, the decoded
-//    request held) instead of blocking the thread; a batch completion
-//    unparks it.
-//  - Thread mode (event_loop = false): the original one blocking reader
-//    thread per connection; kBlock overflow blocks that reader. Kept as the
-//    low-connection-count baseline and as the contrast case for the fault-
-//    injection tests.
+// Reading: a few event threads (Options::event_threads) own every
+// connection through epoll. Sockets are nonblocking; each connection runs
+// its FrameDecoder incrementally as bytes arrive, and responses go out
+// through a per-connection cork queue with EPOLLOUT-driven partial-write
+// resumption — a slow or stalled client consumes its own cork memory and
+// nothing else; a loop never blocks on any one socket. kBlock admission
+// overflow *parks* the connection (EPOLLIN interest dropped, the decoded
+// request held) until a batch completion on its workload unparks it.
 //
 // Multi-workload routing: the constructor's service is workload 0; more
 // (service, admission options) pairs register via RegisterWorkload() before
 // Start(), each with its own BatchCoalescer — its own window, its own
 // pending+inflight quota, its own overflow policy — so one hot workload
-// saturating its quota cannot starve another's admission (requests carry
-// the target workload id in v2 frames; v1 frames mean workload 0).
+// saturating its quota cannot starve another's admission (every request
+// frame carries its target workload id).
 //
 // Determinism across the socket: a single connection's requests reach a
 // workload's coalescer in the order they were written, so one client
 // pipelining requests gets paths bit-identical to submitting the same
 // batches straight into that WalkService — whatever the coalesce window,
-// pipeline depth, or reader architecture (net_test.cc
+// pipeline depth, or event thread count (net_test.cc
 // ServedPathsMatchOneShotEngine). docs/SERVING.md has the full protocol and
 // semantics.
 #ifndef FLEXIWALKER_SRC_NET_WALK_SERVER_H_
@@ -93,12 +86,9 @@ class WalkServer {
     // as malformed (or, past 4 GiB, wrap the u32 length field). The default
     // keeps any walk up to length 1023 inside kDefaultMaxFramePayload.
     size_t max_request_starts = 16384;
-    // Epoll event loop (see the header comment) vs one blocking reader
-    // thread per connection.
-    bool event_loop = true;
-    // Event threads sharing the connection population (event mode only).
-    // One suffices far past this container's core count; the knob exists so
-    // the loop itself is testable under real thread concurrency.
+    // Event threads sharing the connection population. One suffices on a
+    // small host; the knob exists so the loop itself is testable under real
+    // thread concurrency.
     size_t event_threads = 1;
     // SO_SNDBUF for accepted sockets; 0 keeps the OS default. Tests shrink
     // it so a slow reader forces EAGAIN mid-response and the EPOLLOUT
@@ -120,14 +110,12 @@ class WalkServer {
   // Registers an additional workload — its own WalkService and its own
   // BatchCoalescer built from `coalescer_options` (the per-workload
   // admission quota: max_outstanding_queries + overflow policy). Returns
-  // the wire workload id clients route to (kRequestV2 frames). Must be
-  // called before Start().
+  // the wire workload id clients route to. Must be called before Start().
   uint32_t RegisterWorkload(std::string name, WalkService& service,
                             BatchCoalescer::Options coalescer_options);
 
-  // Binds, listens, and starts the reader machinery. Returns false (with
-  // *error set when non-null) if the socket or event loop could not be set
-  // up.
+  // Binds, listens, and starts the event loops. Returns false (with *error
+  // set when non-null) if the socket or an event loop could not be set up.
   bool Start(std::string* error = nullptr);
 
   // Stops accepting, drains every request already admitted (their responses
@@ -178,9 +166,10 @@ class WalkServer {
     std::shared_ptr<const void> owner;
   };
 
-  // A decoded request the event loop could not admit (kBlock quota full):
-  // held verbatim — callbacks already built — until a batch completion on
-  // its workload frees space. Touched only by the owning event thread.
+  // A decoded request on its way into a workload's coalescer, callbacks
+  // already built. When the kBlock quota is full the event loop holds it
+  // verbatim as the connection's park slot until a batch completion on its
+  // workload frees space. Touched only by the owning event thread.
   struct ParkedRequest {
     uint64_t tag = 0;
     uint32_t workload_id = 0;
@@ -197,39 +186,38 @@ class WalkServer {
   struct Connection {
     int fd = -1;
 
-    // Write side, shared between event/reader threads and the coalescers'
-    // completer threads — everything below write_mutex is guarded by it.
+    // Write side, shared between the owning event thread and the
+    // coalescers' completer threads — everything below write_mutex is
+    // guarded by it.
     std::mutex write_mutex;
     bool writable = true;
     std::deque<CorkEntry> corked;
     size_t cork_offset = 0;  // bytes of corked.front() already on the wire
-    bool want_read = true;   // epoll interest flags (event mode)
+    bool want_read = true;   // epoll interest flags
     bool want_write = false;
     bool registered = false;  // fd currently in an epoll set
     bool peer_eof = false;    // no more reads; retire once writes drain
-    int epoll_fd = -1;        // owner loop's epoll (event mode)
-    size_t loop = 0;          // owner loop index (event mode)
+    int epoll_fd = -1;        // owner loop's epoll
+    size_t loop = 0;          // owner loop index
 
     // Admitted-but-unanswered requests on this connection. Retirement
     // (peer_eof && corked drained && pending == 0) and the fault tests'
     // no-leaked-slots assertions both key off it.
     std::atomic<size_t> pending_requests{0};
 
-    // Owner-thread-private state: the event thread's incremental decoder
-    // and park slot, or the reader thread's exit flag. `recv_us` stamps the
-    // moment the bytes feeding the decoder left the socket — the deadline
-    // anchor for frames whose decode was delayed by earlier pipelined
-    // frames stalling in admission.
+    // Owner-thread-private state: the incremental decoder and the park
+    // slot. `recv_us` stamps the moment the bytes feeding the decoder left
+    // the socket — the deadline anchor for frames whose decode was delayed
+    // by earlier pipelined frames parking in admission.
     uint64_t recv_us = 0;
     FrameDecoder decoder;
     std::optional<ParkedRequest> parked;
-    bool open = true;               // event loop: still in the conns map
-    std::atomic<bool> done{false};  // thread mode: reader exited
-    std::thread reader;             // thread mode only
+    bool open = true;  // still in the owner loop's conns map
 
     // The last shared_ptr holder closes the socket — response callbacks can
-    // outlive the reader and the server's connection list, and an fd must
-    // never be reused while any of them could still write.
+    // outlive the connection's loop registration and the server's
+    // connection list, and an fd must never be reused while any of them
+    // could still write.
     ~Connection();
   };
 
@@ -274,25 +262,27 @@ class WalkServer {
     kStopReading,  // malformed (or torn) — reads on this connection are over
   };
 
-  // ---- shared request path (both modes) ----
+  // ---- request path (event threads) ----
   enum class HandleStatus { kHandled, kWouldBlock };
-  // Validates, routes, and admits one decoded request. `loop` selects the
-  // mode: non-null = event loop (errors corked, TryEnqueue + parking),
-  // null = reader thread (errors sent inline, blocking Enqueue).
-  HandleStatus HandleRequest(EventLoop* loop, const std::shared_ptr<Connection>& conn,
+  // Validates, routes, and admits one decoded request. Errors are corked;
+  // kBlock overflow parks the request and drops EPOLLIN (kWouldBlock).
+  HandleStatus HandleRequest(EventLoop& loop, const std::shared_ptr<Connection>& conn,
                              WireRequest& request);
+  // One admission attempt for a built request: counts it pending on the
+  // connection and calls TryEnqueue; on kWouldBlock it registers the
+  // connection for an unpark *before* trying once more, so a batch
+  // completing in between cannot be missed. A refused request is answered
+  // here (kOverloaded, or kShuttingDown once Stop() began). Leaves
+  // `request` intact unless admitted, so a kWouldBlock caller parks it.
+  BatchCoalescer::AdmitStatus TryAdmit(EventLoop& loop, const std::shared_ptr<Connection>& conn,
+                                       Workload& workload, ParkedRequest& request);
+  // Counts one per-request failure — server-wide, plus `workload`'s series
+  // when the request resolved to one — and corks its error frame.
+  void RejectRequest(EventLoop& loop, const std::shared_ptr<Connection>& conn,
+                     Workload* workload, uint64_t tag, WireErrorCode code,
+                     const std::string& message);
 
-  // ---- thread mode ----
-  void AcceptLoop();
-  void ReaderLoop(const std::shared_ptr<Connection>& conn);
-  // Serializes `bytes` onto the connection, swallowing write errors (a dead
-  // peer just stops receiving; the reader notices on its side).
-  static void SendBytes(const std::shared_ptr<Connection>& conn,
-                        const std::vector<uint8_t>& bytes);
-  static void SendError(const std::shared_ptr<Connection>& conn, uint64_t tag,
-                        WireErrorCode code, const std::string& message);
-
-  // ---- event mode ----
+  // ---- event loop ----
   void EventLoopMain(size_t index);
   // Re-arms EPOLLIN after a park resolved (admitted, rejected, or expired):
   // drains frames decoded before the park, then resumes socket reads.
@@ -324,8 +314,7 @@ class WalkServer {
   void CorkFrameEvent(EventLoop& loop, const std::shared_ptr<Connection>& conn,
                       std::shared_ptr<std::vector<uint8_t>> frame);
   // Answers a kStatsRequest with the process registry's Prometheus text.
-  // Event mode corks; thread mode sends inline.
-  void HandleStatsRequest(EventLoop* loop, const std::shared_ptr<Connection>& conn, uint64_t tag);
+  void HandleStatsRequest(EventLoop& loop, const std::shared_ptr<Connection>& conn, uint64_t tag);
   // Nonblocking gathered drain of the cork queue (write_mutex held):
   // advances cork_offset across partial sends, arms/disarms EPOLLOUT, and
   // on kClosed clears the queue and marks the connection unwritable.
@@ -336,27 +325,17 @@ class WalkServer {
   // read again — the caller should tear it down.
   static bool ShouldRetireLocked(const Connection& conn);
 
-  // ---- response path (both modes) ----
-  // Corks an error frame from any thread (the coalescer's flusher/completer
-  // — the deadline ExpireFn path) onto the shared dirty list; the batch-
-  // complete hook's FlushCorkedWrites pushes it out in both modes. Contrast
-  // CorkErrorEvent, which is loop-thread-only because it drains inline.
-  void CorkError(const std::shared_ptr<Connection>& conn, uint64_t tag, WireErrorCode code,
-                 const std::string& message);
-  // Serializes a response frame into an owned buffer and corks it — the
-  // fallback write path for responses whose rows were not placed (the
-  // big-endian host case): one arena -> frame copy, then the shared flush.
-  void CorkResponse(const std::shared_ptr<Connection>& conn, const WireResponseView& response);
-  // Corks an already-complete placed frame — the scatter-arena fast path:
-  // the workers wrote the rows into the frame during the walk, the
-  // first_query_id was just patched, so corking moves zero payload bytes.
-  void CorkPlacedFrame(const std::shared_ptr<Connection>& conn,
-                       std::shared_ptr<std::vector<uint8_t>> frame);
+  // ---- response path (completer threads) ----
+  // Queues one frame on the connection from any thread — the coalescer's
+  // DoneFn and ExpireFn callbacks — and marks the connection dirty; the
+  // batch-complete hook's FlushCorkedWrites sends it. Contrast
+  // CorkFrameEvent, which is loop-thread-only because it drains inline.
+  void Cork(const std::shared_ptr<Connection>& conn, CorkEntry entry);
   // Everything corked since the last flush goes out as one gathered
-  // sendmsg() per connection when a coalescer's batch-complete hook fires:
-  // N same-connection responses per coalesced batch => 1 syscall, the
-  // write-side half of the coalescing win. Event mode drains nonblocking
-  // and leaves the remainder to EPOLLOUT.
+  // nonblocking sendmsg() per connection when a coalescer's batch-complete
+  // hook fires: N same-connection responses per coalesced batch => 1
+  // syscall, the write-side half of the coalescing win. A partial send
+  // leaves the remainder to EPOLLOUT.
   void FlushCorkedWrites();
 
   NodeId num_nodes_;
@@ -364,9 +343,8 @@ class WalkServer {
   std::vector<std::unique_ptr<Workload>> workloads_;
 
   int listen_fd_ = -1;
-  bool listener_registered_ = false;  // loop-0-thread state (event mode)
+  bool listener_registered_ = false;  // loop-0-thread state
   uint16_t port_ = 0;
-  std::thread acceptor_;  // thread mode only
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::atomic<size_t> next_loop_{0};
   std::mutex connections_mutex_;

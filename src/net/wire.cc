@@ -92,23 +92,10 @@ const char* WireErrorCodeName(WireErrorCode code) {
 }
 
 void AppendRequestFrame(std::vector<uint8_t>& out, const WireRequest& request) {
-  // Oldest version that carries the request: the default workload with no
-  // deadline travels as a v1 frame so old servers stay reachable, explicit
-  // routing alone needs v2, and a deadline needs the v3 layout.
-  FrameType type = FrameType::kRequest;
-  if (request.deadline_us != 0) {
-    type = FrameType::kRequestV3;
-  } else if (request.workload_id != 0) {
-    type = FrameType::kRequestV2;
-  }
-  FrameWriter frame(out, type);
+  FrameWriter frame(out, FrameType::kRequest);
   PutU64(out, request.tag);
-  if (type != FrameType::kRequest) {
-    PutU32(out, request.workload_id);
-  }
-  if (type == FrameType::kRequestV3) {
-    PutU64(out, request.deadline_us);
-  }
+  PutU32(out, request.workload_id);
+  PutU64(out, request.deadline_us);
   PutU32(out, static_cast<uint32_t>(request.starts.size()));
   for (NodeId start : request.starts) {
     PutU32(out, start);
@@ -206,29 +193,22 @@ DecodeStatus DecodeFrame(const uint8_t* data, size_t size, size_t max_payload, W
   const uint8_t* body = data + kHeaderBytes;
   WireFrame frame;
   switch (body[0]) {
-    // v1, v2, and v3 requests share one layout except for the fields
-    // between tag and count — v2 adds a u32 workload_id, v3 adds a u64
-    // deadline_us after it; `extra` is those fields' combined width.
-    case static_cast<uint8_t>(FrameType::kRequest):
-    case static_cast<uint8_t>(FrameType::kRequestV2):
-    case static_cast<uint8_t>(FrameType::kRequestV3): {
-      bool v2 = body[0] != static_cast<uint8_t>(FrameType::kRequest);
-      bool v3 = body[0] == static_cast<uint8_t>(FrameType::kRequestV3);
-      size_t extra = (v2 ? 4 : 0) + (v3 ? 8 : 0);
-      if (payload < 13 + extra) {
+    case static_cast<uint8_t>(FrameType::kRequest): {
+      // type(1) tag(8) workload_id(4) deadline_us(8) count(4), then starts.
+      if (payload < 25) {
         return DecodeStatus::kMalformed;
       }
-      uint64_t count = GetU32(body + 9 + extra);
-      if (payload != 13 + extra + count * 4) {
+      uint64_t count = GetU32(body + 21);
+      if (payload != 25 + count * 4) {
         return DecodeStatus::kMalformed;
       }
-      frame.type = static_cast<FrameType>(body[0]);
+      frame.type = FrameType::kRequest;
       frame.request.tag = GetU64(body + 1);
-      frame.request.workload_id = v2 ? GetU32(body + 9) : 0;
-      frame.request.deadline_us = v3 ? GetU64(body + 13) : 0;
+      frame.request.workload_id = GetU32(body + 9);
+      frame.request.deadline_us = GetU64(body + 13);
       frame.request.starts.resize(count);
       for (uint64_t i = 0; i < count; ++i) {
-        frame.request.starts[i] = GetU32(body + 13 + extra + i * 4);
+        frame.request.starts[i] = GetU32(body + 25 + i * 4);
       }
       break;
     }

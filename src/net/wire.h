@@ -4,16 +4,23 @@
 // Every frame is `u32 magic | u32 payload_len | payload`, all fixed-width
 // fields little-endian. The payload starts with a one-byte frame type:
 //
-//   kRequest   u8 type | u64 tag | u32 count | count * u32 start nodes
+//   kRequest   u8 type | u64 tag | u32 workload_id | u64 deadline_us |
+//              u32 count | count * u32 start nodes
 //   kResponse  u8 type | u64 tag | u64 first_query_id | u32 path_stride |
 //              u32 num_queries | num_queries * path_stride * u32 path nodes
 //   kError     u8 type | u64 tag | u32 code | u32 msg_len | msg bytes
-//   kRequestV2 u8 type | u64 tag | u32 workload_id | u32 count |
-//              count * u32 start nodes
 //   kStatsRequest  u8 type | u64 tag
 //   kStatsResponse u8 type | u64 tag | u32 text_len | text bytes
-//   kRequestV3 u8 type | u64 tag | u32 workload_id | u64 deadline_us |
-//              u32 count | count * u32 start nodes
+//
+// A request's workload_id routes it to one of a multi-workload server's
+// registered WalkServices (0 = the default workload). Its deadline_us is the
+// request's *relative* latency budget in microseconds (0 = no deadline; the
+// sender's clock never crosses the wire). The server converts it to an
+// absolute monotonic deadline when the frame arrives and sheds the request —
+// answering kDeadlineExceeded — at decode, at coalescer flush, or
+// cooperatively mid-walk, whichever catches it first (docs/SERVING.md,
+// "Deadlines, retries, and drain"). Responses and errors are workload-
+// agnostic, matched by tag.
 //
 // kStatsRequest/kStatsResponse are the telemetry scrape: the server answers
 // with its MetricsRegistry rendered in Prometheus text exposition format
@@ -21,24 +28,6 @@
 // what WalkClient::FetchStats() and `flexiwalker_cli --stats` read over the
 // wire. Stats frames interleave freely with requests on one connection and
 // are matched by tag like any response.
-//
-// kRequestV2 is the wire v2 request: identical to kRequest plus a
-// workload_id routing a multi-workload server to one of its registered
-// WalkServices. Version negotiation is per-frame, not per-connection: a v2
-// server decodes both types (a v1 frame means workload 0, the default
-// workload), and a client targeting workload 0 emits v1 frames so it keeps
-// working against v1-only servers. There is no v2 response — responses and
-// errors are already workload-agnostic, matched by tag.
-//
-// kRequestV3 is the wire v3 request: v2 plus a u64 deadline_us — the
-// request's *relative* latency budget in microseconds (0 = no deadline; the
-// sender's clock never crosses the wire). The server converts it to an
-// absolute monotonic deadline the moment the frame decodes and sheds the
-// request — answering kDeadlineExceeded — at decode, at coalescer flush, or
-// cooperatively mid-walk, whichever catches it first (docs/SERVING.md,
-// "Deadlines, retries, and drain"). Same per-frame negotiation as v2: a
-// client only emits v3 when a deadline is set, so deadline-free traffic is
-// byte-identical to wire v2 and old servers never see the new type.
 //
 // The tag is a client-chosen correlation id echoed back verbatim, so one
 // connection can pipeline many requests and match responses arriving in any
@@ -72,14 +61,13 @@ inline constexpr uint32_t kWireMagic = 0x464C5857;  // "FLXW"
 // ballooning a connection buffer.
 inline constexpr size_t kDefaultMaxFramePayload = 64ull << 20;
 
+// Type bytes 1 and 4 are unassigned; they decode as kMalformed.
 enum class FrameType : uint8_t {
-  kRequest = 1,  // v1: implicit workload 0
   kResponse = 2,
   kError = 3,
-  kRequestV2 = 4,  // v1 + explicit u32 workload_id after the tag
   kStatsRequest = 5,   // telemetry scrape probe (tag only)
   kStatsResponse = 6,  // Prometheus text payload, matched by tag
-  kRequestV3 = 7,  // v2 + u64 deadline_us (relative budget) after workload_id
+  kRequest = 7,        // tag, workload_id, deadline_us, starts
 };
 
 enum class WireErrorCode : uint32_t {
@@ -88,7 +76,7 @@ enum class WireErrorCode : uint32_t {
   kOverloaded = 3,        // backpressure rejection (BatchCoalescer admission)
   kShuttingDown = 4,      // server stopping; request not accepted
   kRequestTooLarge = 5,   // more starts than the server's per-request cap
-  kUnknownWorkload = 6,   // v2 workload_id with no registered workload
+  kUnknownWorkload = 6,   // workload_id with no registered workload
   kDeadlineExceeded = 7,  // the request's deadline_us budget lapsed before completion
   kDraining = 8,          // server draining (BeginDrain); retry against a healthy replica
 };
@@ -97,12 +85,12 @@ const char* WireErrorCodeName(WireErrorCode code);
 
 struct WireRequest {
   uint64_t tag = 0;
-  uint32_t workload_id = 0;  // 0 = default workload; decoded v1 frames leave it 0
+  uint32_t workload_id = 0;  // 0 = default workload
   std::vector<NodeId> starts;
-  // Relative latency budget in microseconds; 0 = no deadline (v1/v2 frames
-  // leave it 0). The receiver anchors it to its own monotonic clock at
-  // decode time — absolute timestamps never cross the wire. (Declared after
-  // `starts` so pre-v3 {tag, workload_id, starts} initializers stay valid.)
+  // Relative latency budget in microseconds; 0 = no deadline. The receiver
+  // anchors it to its own monotonic clock at decode time — absolute
+  // timestamps never cross the wire. (Declared after `starts` so
+  // {tag, workload_id, starts} initializers stay valid.)
   uint64_t deadline_us = 0;
 };
 
@@ -143,10 +131,6 @@ struct WireResponseView {
 
 // Serializers append one complete frame to `out` (which may already hold
 // earlier frames — batching writes per send() is the normal pattern).
-// AppendRequestFrame picks the oldest wire version that can carry the
-// request: workload_id == 0 and no deadline emits a v1 kRequest (decodable
-// by any server), a non-zero workload_id alone a kRequestV2, and any
-// deadline_us a kRequestV3.
 void AppendRequestFrame(std::vector<uint8_t>& out, const WireRequest& request);
 void AppendResponseFrame(std::vector<uint8_t>& out, const WireResponseView& response);
 void AppendResponseFrame(std::vector<uint8_t>& out, const WireResponse& response);
@@ -195,7 +179,7 @@ enum class DecodeStatus {
 
 struct WireFrame {
   FrameType type = FrameType::kRequest;
-  WireRequest request;    // valid when type == kRequest / kRequestV2
+  WireRequest request;    // valid when type == kRequest
   WireResponse response;  // valid when type == kResponse
   WireError error;        // valid when type == kError
   WireStatsRequest stats_request;    // valid when type == kStatsRequest

@@ -1,9 +1,9 @@
-// Deadline-aware serving (ctest -L robustness): wire v3 deadline framing,
-// the three shedding stages (decode / flush / mid-run cancellation), the
-// bit-identity contract of cooperative cancellation (a cancelled batch
-// never perturbs later batches' paths or ids), client request timeouts
-// with retry classification, and graceful drain. docs/SERVING.md
-// "Deadlines, retries, and drain" is the prose contract this enforces.
+// Deadline-aware serving (ctest -L robustness): the three shedding stages
+// (decode / flush / mid-run cancellation), the bit-identity contract of
+// cooperative cancellation (a cancelled batch never perturbs later batches'
+// paths or ids), client request timeouts with retry classification, and
+// graceful drain. docs/SERVING.md "Deadlines, retries, and drain" is the
+// prose contract this enforces.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -25,6 +25,7 @@
 #include "src/net/walk_client.h"
 #include "src/net/walk_server.h"
 #include "src/net/wire.h"
+#include "src/obs/metrics.h"
 #include "src/sampling/inverse_transform.h"
 #include "src/walker/flexiwalker_engine.h"
 #include "src/walker/path_arena.h"
@@ -108,101 +109,23 @@ void ExpectOutstandingDrains(const BatchCoalescer& coalescer,
   SUCCEED();
 }
 
-// ---------------------------------------------------------------- wire v3 --
-
-TEST(WireV3, DeadlineRoundTripsThroughV3Frames) {
-  WireRequest request{7, 3, Range(10, 14)};
-  request.deadline_us = 250'000;
-  std::vector<uint8_t> bytes;
-  AppendRequestFrame(bytes, request);
-  // Header = u32 magic + u32 payload_len; the payload leads with the type.
-  ASSERT_GT(bytes.size(), 8u);
-  EXPECT_EQ(bytes[8], static_cast<uint8_t>(FrameType::kRequestV3));
-
-  WireFrame frame;
-  size_t consumed = 0;
-  ASSERT_EQ(DecodeFrame(bytes.data(), bytes.size(), kDefaultMaxFramePayload, frame, consumed),
-            DecodeStatus::kFrame);
-  EXPECT_EQ(consumed, bytes.size());
-  ASSERT_EQ(frame.type, FrameType::kRequestV3);
-  EXPECT_EQ(frame.request.tag, 7u);
-  EXPECT_EQ(frame.request.workload_id, 3u);
-  EXPECT_EQ(frame.request.deadline_us, 250'000u);
-  EXPECT_EQ(frame.request.starts, Range(10, 14));
-}
-
-TEST(WireV3, VersionSelectionIsTheOldestCarrier) {
-  // Deadline-free traffic must stay byte-compatible with pre-v3 servers:
-  // workload 0 and no deadline is a v1 frame, routing alone a v2 frame, and
-  // any deadline forces v3 — even on the default workload.
-  WireRequest v1{1, 0, {5, 6}};
-  std::vector<uint8_t> v1_bytes;
-  AppendRequestFrame(v1_bytes, v1);
-  EXPECT_EQ(v1_bytes[8], static_cast<uint8_t>(FrameType::kRequest));
-
-  WireRequest v2{1, 4, {5, 6}};
-  std::vector<uint8_t> v2_bytes;
-  AppendRequestFrame(v2_bytes, v2);
-  EXPECT_EQ(v2_bytes[8], static_cast<uint8_t>(FrameType::kRequestV2));
-
-  WireRequest v3{1, 0, {5, 6}};
-  v3.deadline_us = 1;
-  std::vector<uint8_t> v3_bytes;
-  AppendRequestFrame(v3_bytes, v3);
-  EXPECT_EQ(v3_bytes[8], static_cast<uint8_t>(FrameType::kRequestV3));
-  WireFrame frame;
-  size_t consumed = 0;
-  ASSERT_EQ(
-      DecodeFrame(v3_bytes.data(), v3_bytes.size(), kDefaultMaxFramePayload, frame, consumed),
-      DecodeStatus::kFrame);
-  EXPECT_EQ(frame.request.workload_id, 0u);
-  EXPECT_EQ(frame.request.deadline_us, 1u);
-}
-
-TEST(WireV3, TruncatedV3FramesNeedMoreAtEveryPrefix) {
-  WireRequest request{9, 2, {1, 2, 3}};
-  request.deadline_us = 1000;
-  std::vector<uint8_t> bytes;
-  AppendRequestFrame(bytes, request);
-  for (size_t prefix = 0; prefix < bytes.size(); ++prefix) {
-    WireFrame frame;
-    size_t consumed = 0;
-    EXPECT_EQ(DecodeFrame(bytes.data(), prefix, kDefaultMaxFramePayload, frame, consumed),
-              DecodeStatus::kNeedMore)
-        << "prefix " << prefix;
-  }
-}
-
-TEST(WireV3, CountPayloadMismatchIsMalformed) {
-  WireRequest request{9, 2, {1, 2, 3}};
-  request.deadline_us = 1000;
-  std::vector<uint8_t> bytes;
-  AppendRequestFrame(bytes, request);
-  // Claim one more start than the payload holds: the exact-length check
-  // must reject instead of reading past the buffer.
-  size_t count_offset = 8 + 1 + 8 + 4 + 8;  // header, type, tag, workload_id, deadline
-  bytes[count_offset] = 4;
-  WireFrame frame;
-  size_t consumed = 0;
-  EXPECT_EQ(DecodeFrame(bytes.data(), bytes.size(), kDefaultMaxFramePayload, frame, consumed),
-            DecodeStatus::kMalformed);
-}
-
 // ------------------------------------------------------------ decode shed --
 
 TEST(DeadlineShedding, ExpiredAtDecodeIsRejectedBeforeAdmission) {
   BatchCoalescer::Options coalescer;
   coalescer.max_outstanding_queries = 8;
   coalescer.overflow = BatchCoalescer::OverflowPolicy::kBlock;
-  WalkServer::Options base;
-  base.event_loop = false;  // blocking reader: admission stalls the decode loop
-  DeadlineStack stack(/*coalesce_ms=*/80.0, coalescer, base);
+  DeadlineStack stack(/*coalesce_ms=*/80.0, coalescer);
+  obs::Counter& decode_sheds = obs::MetricsRegistry::Global().GetCounter(
+      obs::WithLabel("flexi_requests_deadline_exceeded_total", "stage", "decode"));
+  uint64_t decode_sheds_before = decode_sheds.Value();
 
   // One send carrying three pipelined frames. The first fills the admission
-  // bound; the second (deadline-free) blocks the reader in Enqueue until
-  // the first batch completes; by the time the third decodes, its 20 ms
-  // budget — anchored at recv, when its bytes actually arrived — is long
-  // gone, so it must be shed at decode, before admission.
+  // bound; the second (deadline-free) parks on the full quota, and the
+  // connection stops reading until the first batch completes. The third
+  // arrived in the same send but is decoded only after the unpark, and its
+  // 20 ms budget — anchored at recv, when its bytes actually arrived — is
+  // long gone by then, so it must be shed at decode, before admission.
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
   sockaddr_in addr{};
@@ -238,6 +161,7 @@ TEST(DeadlineShedding, ExpiredAtDecodeIsRejectedBeforeAdmission) {
   EXPECT_EQ(answers[2].type, FrameType::kResponse);
   ASSERT_EQ(answers[3].type, FrameType::kError);
   EXPECT_EQ(answers[3].error.code, WireErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(decode_sheds.Value() - decode_sheds_before, 1u);
   ExpectOutstandingDrains(stack.server->coalescer());
 }
 

@@ -1,6 +1,7 @@
 // Tests for the network serving subsystem (src/net/): wire-protocol
-// round-trips and rejection of truncated/oversized/garbage frames, the
-// BatchCoalescer's merge/flush/backpressure semantics, and the end-to-end
+// round-trips and rejection of truncated/oversized/garbage/retired-layout
+// frames, the BatchCoalescer's merge/flush/backpressure semantics, and the
+// end-to-end
 // server <-> client contract — paths served over the socket are
 // bit-identical to a one-shot engine run over the same starts and seed,
 // regardless of coalesce window or pipeline depth (the walk_service_test
@@ -9,6 +10,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -30,6 +32,7 @@
 #include "src/net/walk_client.h"
 #include "src/net/walk_server.h"
 #include "src/net/wire.h"
+#include "src/obs/trace.h"
 #include "src/sampling/inverse_transform.h"
 #include "src/walker/flexiwalker_engine.h"
 #include "src/walker/walk_service.h"
@@ -40,21 +43,35 @@ namespace {
 
 // ---------------------------------------------------------------- wire ----
 
-TEST(Wire, RequestRoundTrip) {
-  WireRequest request;
-  request.tag = 0xDEADBEEFCAFEull;
-  request.starts = {0, 7, 42, 0xFFFFFFFEu};
-  std::vector<uint8_t> bytes;
-  AppendRequestFrame(bytes, request);
+// Request frames the wire tests feed through every check: the default
+// workload with no deadline, and a routed request carrying a deadline.
+std::vector<WireRequest> SampleRequests() {
+  WireRequest plain{0xDEADBEEFCAFEull, 0, {0, 7, 42, 0xFFFFFFFEu}};
+  WireRequest routed{7, 3, {10, 11, 12, 13}};
+  routed.deadline_us = 250'000;
+  return {plain, routed};
+}
 
-  WireFrame frame;
-  size_t consumed = 0;
-  ASSERT_EQ(DecodeFrame(bytes.data(), bytes.size(), kDefaultMaxFramePayload, frame, consumed),
-            DecodeStatus::kFrame);
-  EXPECT_EQ(consumed, bytes.size());
-  ASSERT_EQ(frame.type, FrameType::kRequest);
-  EXPECT_EQ(frame.request.tag, request.tag);
-  EXPECT_EQ(frame.request.starts, request.starts);
+TEST(Wire, RequestRoundTrip) {
+  for (const WireRequest& request : SampleRequests()) {
+    SCOPED_TRACE("tag " + std::to_string(request.tag));
+    std::vector<uint8_t> bytes;
+    AppendRequestFrame(bytes, request);
+    // Header = u32 magic + u32 payload_len; the payload leads with the type.
+    EXPECT_EQ(bytes[8], static_cast<uint8_t>(FrameType::kRequest));
+    EXPECT_EQ(bytes.size(), 8 + 25 + 4 * request.starts.size());
+
+    WireFrame frame;
+    size_t consumed = 0;
+    ASSERT_EQ(DecodeFrame(bytes.data(), bytes.size(), kDefaultMaxFramePayload, frame, consumed),
+              DecodeStatus::kFrame);
+    EXPECT_EQ(consumed, bytes.size());
+    ASSERT_EQ(frame.type, FrameType::kRequest);
+    EXPECT_EQ(frame.request.tag, request.tag);
+    EXPECT_EQ(frame.request.workload_id, request.workload_id);
+    EXPECT_EQ(frame.request.deadline_us, request.deadline_us);
+    EXPECT_EQ(frame.request.starts, request.starts);
+  }
 }
 
 TEST(Wire, ResponseRoundTrip) {
@@ -95,15 +112,16 @@ TEST(Wire, ErrorRoundTrip) {
 }
 
 TEST(Wire, TruncatedFramesNeedMoreAtEveryPrefix) {
-  WireRequest request{9, 0, {1, 2, 3}};
-  std::vector<uint8_t> bytes;
-  AppendRequestFrame(bytes, request);
-  for (size_t prefix = 0; prefix < bytes.size(); ++prefix) {
-    WireFrame frame;
-    size_t consumed = 0;
-    EXPECT_EQ(DecodeFrame(bytes.data(), prefix, kDefaultMaxFramePayload, frame, consumed),
-              DecodeStatus::kNeedMore)
-        << "prefix " << prefix;
+  for (const WireRequest& request : SampleRequests()) {
+    std::vector<uint8_t> bytes;
+    AppendRequestFrame(bytes, request);
+    for (size_t prefix = 0; prefix < bytes.size(); ++prefix) {
+      WireFrame frame;
+      size_t consumed = 0;
+      EXPECT_EQ(DecodeFrame(bytes.data(), prefix, kDefaultMaxFramePayload, frame, consumed),
+                DecodeStatus::kNeedMore)
+          << "tag " << request.tag << " prefix " << prefix;
+    }
   }
 }
 
@@ -138,20 +156,59 @@ TEST(Wire, OversizedDeclaredPayloadIsMalformed) {
 }
 
 TEST(Wire, LengthCountMismatchIsMalformed) {
-  WireRequest request{1, 0, {2, 3, 4}};
+  for (const WireRequest& request : SampleRequests()) {
+    std::vector<uint8_t> bytes;
+    AppendRequestFrame(bytes, request);
+    // Claim one more start than the payload holds: the exact-length check
+    // must reject instead of reading past the buffer.
+    constexpr size_t kCountOffset = 8 + 1 + 8 + 4 + 8;  // header, type, tag, workload, deadline
+    bytes[kCountOffset] = static_cast<uint8_t>(request.starts.size() + 1);
+    WireFrame frame;
+    size_t consumed = 0;
+    EXPECT_EQ(DecodeFrame(bytes.data(), bytes.size(), kDefaultMaxFramePayload, frame, consumed),
+              DecodeStatus::kMalformed)
+        << "tag " << request.tag;
+  }
+}
+
+// A well-formed frame in one of the retired request layouts: type 1
+// (tag | count | starts) or type 4 (tag | workload_id | count | starts).
+std::vector<uint8_t> RetiredRequestFrame(uint8_t type, uint64_t tag,
+                                         const std::vector<NodeId>& starts) {
   std::vector<uint8_t> bytes;
-  AppendRequestFrame(bytes, request);
-  // Inflate the start count without growing the payload: count says 5,
-  // payload holds 3.
-  bytes[8 + 9] = 5;
-  WireFrame frame;
-  size_t consumed = 0;
-  EXPECT_EQ(DecodeFrame(bytes.data(), bytes.size(), kDefaultMaxFramePayload, frame, consumed),
-            DecodeStatus::kMalformed);
+  auto put = [&bytes](uint64_t value, int width) {
+    for (int i = 0; i < width; ++i) {
+      bytes.push_back(static_cast<uint8_t>(value >> (8 * i)));
+    }
+  };
+  size_t fields = type == 4 ? 4 : 0;  // type 4's workload_id
+  put(kWireMagic, 4);
+  put(1 + 8 + fields + 4 + 4 * starts.size(), 4);
+  put(type, 1);
+  put(tag, 8);
+  if (type == 4) {
+    put(/*workload_id=*/1, 4);
+  }
+  put(starts.size(), 4);
+  for (NodeId start : starts) {
+    put(start, 4);
+  }
+  return bytes;
+}
+
+TEST(Wire, RetiredRequestTypesAreMalformed) {
+  for (uint8_t type : {1, 4}) {
+    std::vector<uint8_t> bytes = RetiredRequestFrame(type, 5, {1, 2});
+    WireFrame frame;
+    size_t consumed = 0;
+    EXPECT_EQ(DecodeFrame(bytes.data(), bytes.size(), kDefaultMaxFramePayload, frame, consumed),
+              DecodeStatus::kMalformed)
+        << "type " << int{type};
+  }
 }
 
 TEST(Wire, UnknownFrameTypeIsMalformed) {
-  WireRequest request{1, {2}};
+  WireRequest request{1, 0, {2}};
   std::vector<uint8_t> bytes;
   AppendRequestFrame(bytes, request);
   bytes[8] = 0x7F;  // type byte
@@ -217,6 +274,14 @@ std::vector<NodeId> Range(NodeId begin, NodeId end) {
   return starts;
 }
 
+using AdmitStatus = BatchCoalescer::AdmitStatus;
+
+// Presents one request through TryEnqueue's lvalue interface.
+AdmitStatus Admit(BatchCoalescer& coalescer, std::vector<NodeId> starts,
+                  BatchCoalescer::DoneFn done, BatchCoalescer::PlaceFn place = nullptr) {
+  return coalescer.TryEnqueue(starts, done, place);
+}
+
 TEST(BatchCoalescer, MergesRequestsAndSlicesMatchDirectSubmission) {
   Graph graph = CoalescerGraph();
   Node2VecWalk walk(2.0, 0.5, 10);
@@ -234,10 +299,11 @@ TEST(BatchCoalescer, MergesRequestsAndSlicesMatchDirectSubmission) {
   std::vector<std::future<BatchCoalescer::RequestResult>> futures;
   for (size_t r = 0; r < requests.size(); ++r) {
     futures.push_back(done[r].get_future());
-    ASSERT_TRUE(coalescer.Enqueue(Range(requests[r].first, requests[r].second),
-                                  [&done, r](BatchCoalescer::RequestResult result) {
-                                    done[r].set_value(std::move(result));
-                                  }));
+    ASSERT_EQ(Admit(coalescer, Range(requests[r].first, requests[r].second),
+                    [&done, r](BatchCoalescer::RequestResult result) {
+                      done[r].set_value(std::move(result));
+                    }),
+              AdmitStatus::kAdmitted);
   }
   std::vector<BatchCoalescer::RequestResult> results;
   for (auto& future : futures) {
@@ -280,13 +346,17 @@ TEST(BatchCoalescer, RejectPolicyRefusesWhenAdmissionBoundHit) {
 
   std::promise<BatchCoalescer::RequestResult> first_done;
   auto first_future = first_done.get_future();
-  ASSERT_TRUE(coalescer.Enqueue(Range(0, 8), [&](BatchCoalescer::RequestResult result) {
-    first_done.set_value(std::move(result));
-  }));
+  ASSERT_EQ(Admit(coalescer, Range(0, 8),
+                  [&](BatchCoalescer::RequestResult result) {
+                    first_done.set_value(std::move(result));
+                  }),
+            AdmitStatus::kAdmitted);
   // 8 outstanding + 1 > 8: rejected immediately, callback never owed.
-  EXPECT_FALSE(coalescer.Enqueue(Range(8, 9), [](BatchCoalescer::RequestResult) {
-    FAIL() << "rejected request must not complete";
-  }));
+  EXPECT_EQ(Admit(coalescer, Range(8, 9),
+                  [](BatchCoalescer::RequestResult) {
+                    FAIL() << "rejected request must not complete";
+                  }),
+            AdmitStatus::kRejected);
   EXPECT_EQ(coalescer.requests_rejected(), 1u);
 
   coalescer.Shutdown();  // flushes the pending window
@@ -295,7 +365,7 @@ TEST(BatchCoalescer, RejectPolicyRefusesWhenAdmissionBoundHit) {
   EXPECT_EQ(result.first_query_id, 0u);
 }
 
-TEST(BatchCoalescer, BlockPolicyWaitsForSpaceInsteadOfRejecting) {
+TEST(BatchCoalescer, BlockPolicyAnswersWouldBlockAndAdmitsAfterCompletion) {
   Graph graph = CoalescerGraph();
   Node2VecWalk walk(2.0, 0.5, 6);
   WalkService service(graph, walk, ItsOptions(7), ItsStep());
@@ -304,17 +374,33 @@ TEST(BatchCoalescer, BlockPolicyWaitsForSpaceInsteadOfRejecting) {
   options.max_outstanding_queries = 4;
   options.overflow = BatchCoalescer::OverflowPolicy::kBlock;
   BatchCoalescer coalescer(service, options);
+  // The hook runs after a batch's admission slots are released — the
+  // moment the server unparks connections.
+  std::promise<void> first_batch_done;
+  std::atomic<int> batches{0};
+  coalescer.SetBatchCompleteHook([&] {
+    if (++batches == 1) {
+      first_batch_done.set_value();
+    }
+  });
 
   std::atomic<int> completed{0};
-  ASSERT_TRUE(coalescer.Enqueue(Range(0, 4), [&](BatchCoalescer::RequestResult) { ++completed; }));
-  // Over the bound: Enqueue must block until the first batch completes,
-  // then admit — never reject.
-  std::thread producer([&] {
-    EXPECT_TRUE(coalescer.Enqueue(Range(4, 8), [&](BatchCoalescer::RequestResult) { ++completed; }));
-  });
-  producer.join();
+  ASSERT_EQ(Admit(coalescer, Range(0, 4), [&](BatchCoalescer::RequestResult) { ++completed; }),
+            AdmitStatus::kAdmitted);
+  // Over the bound: kWouldBlock, with the request left intact for a retry.
+  std::vector<NodeId> starts = Range(4, 8);
+  BatchCoalescer::DoneFn done = [&](BatchCoalescer::RequestResult) { ++completed; };
+  BatchCoalescer::PlaceFn place;
+  EXPECT_EQ(coalescer.TryEnqueue(starts, done, place), AdmitStatus::kWouldBlock);
+  EXPECT_EQ(starts, Range(4, 8));
+  EXPECT_TRUE(done != nullptr);
+  EXPECT_EQ(coalescer.requests_rejected(), 0u);
+  // The same request is admitted once the first batch has completed.
+  first_batch_done.get_future().wait();
+  EXPECT_EQ(coalescer.TryEnqueue(starts, done, place), AdmitStatus::kAdmitted);
   coalescer.Shutdown();
   EXPECT_EQ(completed.load(), 2);
+  EXPECT_EQ(coalescer.requests_admitted(), 2u);
   EXPECT_EQ(coalescer.requests_rejected(), 0u);
 }
 
@@ -327,9 +413,11 @@ TEST(BatchCoalescer, EmptyRequestCompletes) {
   BatchCoalescer coalescer(service, options);
   std::promise<BatchCoalescer::RequestResult> done;
   auto future = done.get_future();
-  ASSERT_TRUE(coalescer.Enqueue({}, [&](BatchCoalescer::RequestResult result) {
-    done.set_value(std::move(result));
-  }));
+  ASSERT_EQ(Admit(coalescer, {},
+                  [&](BatchCoalescer::RequestResult result) {
+                    done.set_value(std::move(result));
+                  }),
+            AdmitStatus::kAdmitted);
   EXPECT_EQ(future.get().num_queries, 0u);
 }
 
@@ -351,9 +439,11 @@ TEST(BatchCoalescer, AdaptiveWindowFlushesSparseTrafficImmediately) {
   auto walk_one = [&](NodeId start) {
     std::promise<BatchCoalescer::RequestResult> done;
     auto future = done.get_future();
-    EXPECT_TRUE(coalescer.Enqueue({start}, [&done](BatchCoalescer::RequestResult result) {
-      done.set_value(std::move(result));
-    }));
+    EXPECT_EQ(Admit(coalescer, {start},
+                    [&done](BatchCoalescer::RequestResult result) {
+                      done.set_value(std::move(result));
+                    }),
+              AdmitStatus::kAdmitted);
     return future.get();
   };
   auto t0 = std::chrono::steady_clock::now();
@@ -381,9 +471,11 @@ TEST(BatchCoalescer, AdaptiveWindowFlushesPostIdleGapImmediately) {
   auto walk_one = [&](NodeId start) {
     std::promise<BatchCoalescer::RequestResult> done;
     auto future = done.get_future();
-    EXPECT_TRUE(coalescer.Enqueue({start}, [&done](BatchCoalescer::RequestResult result) {
-      done.set_value(std::move(result));
-    }));
+    EXPECT_EQ(Admit(coalescer, {start},
+                    [&done](BatchCoalescer::RequestResult result) {
+                      done.set_value(std::move(result));
+                    }),
+              AdmitStatus::kAdmitted);
     return future.get();
   };
   auto t0 = std::chrono::steady_clock::now();
@@ -413,9 +505,11 @@ TEST(BatchCoalescer, AdaptiveWindowStillCoalescesDenseTraffic) {
 
   std::promise<BatchCoalescer::RequestResult> cold_done;
   auto cold = cold_done.get_future();
-  ASSERT_TRUE(coalescer.Enqueue({1}, [&](BatchCoalescer::RequestResult result) {
-    cold_done.set_value(std::move(result));
-  }));
+  ASSERT_EQ(Admit(coalescer, {1},
+                  [&](BatchCoalescer::RequestResult result) {
+                    cold_done.set_value(std::move(result));
+                  }),
+            AdmitStatus::kAdmitted);
   // Wait for the cold FLUSH (not completion): the sparse/dense decision
   // keys off enqueue-to-enqueue gaps, so gating on batches_flushed keeps
   // the dense enqueues' gaps tiny regardless of how long the cold walk
@@ -429,10 +523,11 @@ TEST(BatchCoalescer, AdaptiveWindowStillCoalescesDenseTraffic) {
   std::vector<std::future<BatchCoalescer::RequestResult>> futures;
   for (size_t r = 0; r < done.size(); ++r) {
     futures.push_back(done[r].get_future());
-    ASSERT_TRUE(coalescer.Enqueue({static_cast<NodeId>(r)},
-                                  [&done, r](BatchCoalescer::RequestResult result) {
-                                    done[r].set_value(std::move(result));
-                                  }));
+    ASSERT_EQ(Admit(coalescer, {static_cast<NodeId>(r)},
+                    [&done, r](BatchCoalescer::RequestResult result) {
+                      done[r].set_value(std::move(result));
+                    }),
+              AdmitStatus::kAdmitted);
   }
   for (auto& future : futures) {
     future.get();
@@ -458,9 +553,11 @@ TEST(BatchCoalescer, RequestResultArenaOutlivesCoalescer) {
     BatchCoalescer coalescer(service, options);
     std::promise<BatchCoalescer::RequestResult> done;
     auto future = done.get_future();
-    ASSERT_TRUE(coalescer.Enqueue(Range(3, 6), [&](BatchCoalescer::RequestResult result) {
-      done.set_value(std::move(result));
-    }));
+    ASSERT_EQ(Admit(coalescer, Range(3, 6),
+                    [&](BatchCoalescer::RequestResult result) {
+                      done.set_value(std::move(result));
+                    }),
+              AdmitStatus::kAdmitted);
     kept = future.get();
   }
   ASSERT_EQ(kept.num_queries, 3u);
@@ -498,10 +595,12 @@ TEST(BatchCoalescer, PlacedRowsMatchFallbackAndDirectSubmission) {
         return {buffers[r]->data(), buffers[r]};
       };
     }
-    ASSERT_TRUE(coalescer.Enqueue(
-        Range(requests[r].first, requests[r].second),
-        [&done, r](BatchCoalescer::RequestResult result) { done[r].set_value(std::move(result)); },
-        std::move(place)));
+    ASSERT_EQ(Admit(coalescer, Range(requests[r].first, requests[r].second),
+                    [&done, r](BatchCoalescer::RequestResult result) {
+                      done[r].set_value(std::move(result));
+                    },
+                    std::move(place)),
+              AdmitStatus::kAdmitted);
   }
   std::vector<BatchCoalescer::RequestResult> results;
   for (auto& future : futures) {
@@ -528,15 +627,17 @@ TEST(BatchCoalescer, PlacedRowsMatchFallbackAndDirectSubmission) {
   }
 }
 
-TEST(BatchCoalescer, EnqueueAfterShutdownIsRejected) {
+TEST(BatchCoalescer, AdmissionAfterShutdownIsRejected) {
   Graph graph = CoalescerGraph();
   Node2VecWalk walk(2.0, 0.5, 4);
   WalkService service(graph, walk, ItsOptions(1), ItsStep());
   BatchCoalescer coalescer(service, {});
   coalescer.Shutdown();
-  EXPECT_FALSE(coalescer.Enqueue(Range(0, 4), [](BatchCoalescer::RequestResult) {
-    FAIL() << "must not complete after shutdown";
-  }));
+  EXPECT_EQ(Admit(coalescer, Range(0, 4),
+                  [](BatchCoalescer::RequestResult) {
+                    FAIL() << "must not complete after shutdown";
+                  }),
+            AdmitStatus::kRejected);
 }
 
 // ------------------------------------------------------------ end to end --
@@ -579,16 +680,11 @@ TEST(WalkServerEndToEnd, ServedPathsMatchOneShotEngineAcrossConfigs) {
   struct Config {
     double coalesce_ms;
     unsigned pipeline_depth;
-    bool event_loop;
   };
-  for (Config config : {Config{0.0, 1, true}, Config{5.0, 1, true}, Config{5.0, 4, true},
-                        Config{5.0, 4, false}}) {
+  for (Config config : {Config{0.0, 1}, Config{5.0, 1}, Config{5.0, 4}}) {
     SCOPED_TRACE("coalesce_ms=" + std::to_string(config.coalesce_ms) +
-                 " depth=" + std::to_string(config.pipeline_depth) +
-                 " event_loop=" + std::to_string(config.event_loop));
-    WalkServer::Options base;
-    base.event_loop = config.event_loop;
-    ServedStack stack(config.coalesce_ms, config.pipeline_depth, {}, base);
+                 " depth=" + std::to_string(config.pipeline_depth));
+    ServedStack stack(config.coalesce_ms, config.pipeline_depth);
 
     WalkClient client;
     ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()));
@@ -666,28 +762,53 @@ TEST(WalkServerEndToEnd, OverloadRejectionSurfacesAsError) {
 
 TEST(WalkServerEndToEnd, GarbageBytesCloseThatConnectionOnly) {
   ServedStack stack(/*coalesce_ms=*/0.2, /*pipeline_depth=*/1);
+  // A well-behaved client stays connected throughout: each bad connection
+  // must be closed alone.
+  WalkClient bystander;
+  ASSERT_TRUE(bystander.Connect("127.0.0.1", stack.server->port()));
 
-  // Raw socket speaking HTTP at the walk port: the server must answer with
-  // a malformed-frame error and close, without taking the listener down.
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(stack.server->port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  const char* garbage = "GET / HTTP/1.1\r\n\r\n";
-  ASSERT_GT(::send(fd, garbage, std::strlen(garbage), 0), 0);
-  // Drain until EOF: the server sends its error frame then closes.
-  char buffer[512];
-  ssize_t n;
-  while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
+  // HTTP aimed at the walk port, and well-formed frames in the retired
+  // request layouts (type bytes 1 and 4): each must be answered with a
+  // malformed-frame error, then that connection closes.
+  const char* http = "GET / HTTP/1.1\r\n\r\n";
+  std::vector<std::vector<uint8_t>> inputs = {
+      std::vector<uint8_t>(http, http + std::strlen(http)),
+      RetiredRequestFrame(1, 5, {1, 2}),
+      RetiredRequestFrame(4, 6, {3}),
+  };
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE("input " + std::to_string(i));
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(stack.server->port());
+    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    // A server that kept the connection open must fail the test, not hang it.
+    timeval timeout{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    ASSERT_EQ(::send(fd, inputs[i].data(), inputs[i].size(), 0),
+              static_cast<ssize_t>(inputs[i].size()));
+    // Drain until EOF: the server sends its error frame then closes.
+    FrameDecoder decoder;
+    char buffer[512];
+    ssize_t n;
+    while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
+      decoder.Append(reinterpret_cast<const uint8_t*>(buffer), static_cast<size_t>(n));
+    }
+    EXPECT_EQ(n, 0);
+    ::close(fd);
+    WireFrame frame;
+    ASSERT_EQ(decoder.Next(frame), DecodeStatus::kFrame);
+    ASSERT_EQ(frame.type, FrameType::kError);
+    EXPECT_EQ(frame.error.code, WireErrorCode::kMalformedFrame);
+    EXPECT_EQ(stack.server->frames_malformed(), i + 1);
   }
-  EXPECT_EQ(n, 0);
-  ::close(fd);
-  EXPECT_GE(stack.server->frames_malformed(), 1u);
+  EXPECT_EQ(stack.server->requests_received(), 0u);
 
-  // A well-behaved client on a fresh connection is unaffected.
+  EXPECT_EQ(bystander.Walk({3}).num_queries, 1u);
+  // So is a client on a fresh connection.
   WalkClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()));
   EXPECT_EQ(client.Walk({3}).num_queries, 1u);
@@ -840,7 +961,9 @@ TEST(SocketUtil, SendVecRetriesInjectedEintr) {
   iovec iov[3] = {{payload.data(), 5000},
                   {payload.data() + 5000, 7000},
                   {payload.data() + 12000, 8000}};
-  EXPECT_TRUE(SendAllVec(fds[0], iov, 3));
+  iovec* cursor = iov;
+  size_t count = 3;
+  EXPECT_EQ(SendVec(fds[0], cursor, count), SendResult::kDone);
   ::shutdown(fds[0], SHUT_WR);
   consumer.join();
   EXPECT_GT(g_eintr_injected.load(), 0);
@@ -882,8 +1005,11 @@ ValidStream BuildValidStream() {
   ValidStream s;
   s.Add(FrameType::kRequest, 1,
         [](std::vector<uint8_t>& out) { AppendRequestFrame(out, {1, 0, {10, 11, 12}}); });
-  s.Add(FrameType::kRequestV2, 2,
-        [](std::vector<uint8_t>& out) { AppendRequestFrame(out, {2, 3, {7}}); });
+  s.Add(FrameType::kRequest, 2, [](std::vector<uint8_t>& out) {
+    WireRequest routed{2, 3, {7}};
+    routed.deadline_us = 5'000;
+    AppendRequestFrame(out, routed);
+  });
   s.Add(FrameType::kResponse, 3, [](std::vector<uint8_t>& out) {
     AppendResponseFrame(out, WireResponse{3, 99, 4, 2, {5, 6, 7, 8, 1, 2, 3, 4}});
   });
@@ -914,7 +1040,6 @@ void ExpectMatchesStream(const ValidStream& stream, const std::vector<WireFrame>
     uint64_t tag = 0;
     switch (frames[i].type) {
       case FrameType::kRequest:
-      case FrameType::kRequestV2:
         tag = frames[i].request.tag;
         break;
       case FrameType::kResponse:
@@ -923,12 +1048,15 @@ void ExpectMatchesStream(const ValidStream& stream, const std::vector<WireFrame>
       case FrameType::kError:
         tag = frames[i].error.tag;
         break;
+      default:
+        break;  // the stream holds no stats frames
     }
     EXPECT_EQ(tag, stream.tags[i]) << "frame " << i;
   }
-  // Deep-check the fields the offsets depend on (a v2 decode off by the
-  // workload_id width would shift every start).
+  // Deep-check the fields the offsets depend on (a decode off by a field
+  // width would shift every start).
   EXPECT_EQ(frames[1].request.workload_id, 3u);
+  EXPECT_EQ(frames[1].request.deadline_us, 5'000u);
   EXPECT_EQ(frames[1].request.starts, std::vector<NodeId>{7});
   EXPECT_EQ(frames[2].response.paths.size(), 8u);
   EXPECT_EQ(frames[4].request.starts.size(), 0u);
@@ -1303,6 +1431,42 @@ TEST(WalkServerFaults, InjectedEintrInSendPathIsInvisibleToClients) {
     EXPECT_EQ(result.paths[result.path_stride], (r * 7) % 200);
   }
   EXPECT_GT(g_eintr_injected.load(), 0) << "the injection seam never fired";
+}
+
+// Sleeps before every sendmsg(), so each socket write takes at least
+// kSlowSend.
+constexpr std::chrono::milliseconds kSlowSend(2);
+
+ssize_t SlowSendMsg(int fd, const msghdr* msg, int flags) {
+  std::this_thread::sleep_for(kSlowSend);
+  return ::sendmsg(fd, msg, flags);
+}
+
+// The ring's `flush` span is the socket-write stage: a response sent
+// through a slowed sendmsg() must show up inside some flush span.
+TEST(WalkServerTrace, FlushSpanCoversTheSocketWrites) {
+  obs::TraceRing& ring = obs::TraceRing::Global();
+  ring.Enable(1 << 12);
+  struct RingOff {
+    ~RingOff() { obs::TraceRing::Global().Disable(); }
+  } ring_off;
+  ServedStack stack(/*coalesce_ms=*/0.2, /*pipeline_depth=*/1);
+  WalkClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()));
+  {
+    SendMsgOverrideGuard guard(&SlowSendMsg);
+    EXPECT_EQ(client.Walk({3}).num_queries, 1u);
+    // Stop joins the completer threads, so every flush span is recorded.
+    stack.server->Stop();
+  }
+  uint64_t longest_flush_us = 0;
+  for (const obs::TraceSpan& span : ring.Snapshot()) {
+    if (std::strcmp(span.name, "flush") == 0) {
+      longest_flush_us = std::max(longest_flush_us, span.dur_us);
+    }
+  }
+  EXPECT_GE(longest_flush_us,
+            static_cast<uint64_t>(std::chrono::microseconds(kSlowSend).count()));
 }
 
 TEST(WalkServerFaults, SeededCorruptStreamsAlwaysErrorAndCloseServerSide) {
