@@ -5,12 +5,12 @@
 // sim_ms and the paths themselves are identical in every row — only
 // wall-clock moves, which is exactly the point: the simulation's numbers are
 // machine-independent while the system itself runs as fast as the host
-// allows.
+// allows. The 1-thread / all-core wall-clock ratio is the scaling gate: a
+// full (non --quick) run on >= 4 cores exits non-zero below 2x. It lives
+// here rather than in ctest because a wall-clock ratio only means something
+// with nothing else running beside it.
 //
-// Phase 2: repeated small batches, persistent WorkerPool vs spawn-per-Run —
-// the serving workload's thread-dispatch cost.
-//
-// Phase 3: dispensation contention. First a pure QueryQueue drain (no
+// Phase 2: dispensation contention. First a pure QueryQueue drain (no
 // walking) showing what the global ticket counter costs by itself, then the
 // repeated-small-batch walk workload across {per-query, chunked,
 // chunked+steal} × thread counts, with QPS and p50/p99 batch latency per
@@ -20,16 +20,17 @@
 // so they never exceed the query total even though racing drainers
 // overshoot the raw ticket counter.
 //
-// Phase 4: wavefront stepping. The batched inner loop (scheduler.cc) at
+// Phase 3: wavefront stepping. The batched inner loop (scheduler.cc) at
 // widths {1, 4, 16} across thread counts, reported as steps/sec with W=1
 // (walk-at-a-time) as the baseline; per-config numbers join the JSON as
-// wavefront_configs, and the whole document is stamped with git SHA, date,
-// and hardware concurrency (bench_util.h) so trajectory diffs are
-// attributable.
+// wavefront_configs, the Phase 1 rows as scaling_configs, and the whole
+// document is stamped with git SHA, date, and hardware concurrency
+// (bench_util.h) so trajectory diffs are attributable.
 //
 // --quick shrinks every phase for CI smoke. Exit code is non-zero if paths
-// diverge anywhere (dispatch modes, dispensation modes, wavefront widths,
-// or thread counts must never change a walk).
+// diverge anywhere (dispensation modes, wavefront widths, or thread counts
+// must never change a walk), if instrumentation costs more than the
+// overhead gate allows, or if a full run misses the scaling gate.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -125,80 +126,54 @@ int main(int argc, char** argv) {
   // Warm-up: touch the graph and grow the allocator before timing anything.
   FlexiWalkerEngine(warm_opts).Run(graph, walk, starts, kBenchSeed);
 
+  std::vector<unsigned> sweep_threads = SweepThreads();
+  struct ScalingRow {
+    unsigned threads = 0;
+    double wall_ms = 0.0;
+    double speedup = 1.0;  // vs 1 thread
+  };
+  std::vector<ScalingRow> scaling_rows;
   Table table({"threads", "wall_ms", "sim_ms", "speedup", "paths identical"});
-  double single_wall = 0.0;
   std::vector<NodeId> reference_paths;
-  for (unsigned threads = 1; threads <= cores; threads *= 2) {
+  for (unsigned threads : sweep_threads) {
     FlexiWalkerOptions options;
     options.edge_cost_ratio = 4.0;
     options.host_threads = threads;
     WalkResult result = FlexiWalkerEngine(options).Run(graph, walk, starts, kBenchSeed);
     if (threads == 1) {
-      single_wall = result.wall_ms;
       reference_paths = result.paths;
     }
     bool identical = result.paths == reference_paths;
     paths_ok = paths_ok && identical;
+    ScalingRow row;
+    row.threads = threads;
+    row.wall_ms = result.wall_ms;
+    row.speedup = scaling_rows.empty() ? 1.0 : scaling_rows.front().wall_ms / result.wall_ms;
+    scaling_rows.push_back(row);
     table.AddRow({std::to_string(threads), Table::Num(result.wall_ms),
-                  Table::Num(result.sim_ms), Table::Num(single_wall / result.wall_ms) + "x",
+                  Table::Num(result.sim_ms), Table::Num(row.speedup) + "x",
                   identical ? "yes" : "NO"});
   }
   table.Print();
+  // SweepThreads() always ends at the all-core count (or 2 on one core).
+  double all_core_speedup = scaling_rows.back().speedup;
+  bool scaling_gated = !quick && cores >= 4;
+  bool scaling_ok = !scaling_gated || all_core_speedup >= 2.0;
   std::printf(
       "\nwall-clock drops with threads while sim_ms and the walk paths stay fixed\n"
-      "(seed-stable parallelism; see scheduler.h and scheduler_test.cc).\n");
+      "(seed-stable parallelism; see scheduler.h and scheduler_test.cc).\n"
+      "1-thread / %u-thread wall-clock ratio: %.2fx (%s)\n",
+      scaling_rows.back().threads, all_core_speedup,
+      scaling_gated ? (scaling_ok ? "meets the >= 2x gate" : "BELOW the >= 2x gate")
+                    : "not gated: --quick or fewer than 4 cores");
+  if (!scaling_ok) {
+    std::fprintf(stderr,
+                 "SCALING FAILURE: %u threads ran only %.2fx faster than 1 thread; full runs "
+                 "on >= 4 cores require >= 2x\n",
+                 scaling_rows.back().threads, all_core_speedup);
+  }
 
-  // --- Repeated small batches: persistent pool vs spawn-per-Run. ---
-  // The serving workload (WalkService, docs/SERVING.md): many small batches
-  // back to back. Spawn-per-Run pays thread creation + join per batch; the
-  // persistent pool parks its workers on a condition variable between
-  // batches. Paths are bit-identical in both modes — only wall-clock moves.
-  PrintHeader("Repeated small batches", "persistent WorkerPool vs spawn-per-Run");
-  const int kBatches = quick ? 100 : 400;
-  constexpr size_t kBatchQueries = 64;
-  Node2VecWalk small_walk(2.0, 0.5, 8);
-  auto batch_starts = BenchStarts(graph, kBatchQueries);
-  StepKernel its_step = [](const WalkContext& ctx, const WalkLogic& l, const QueryState& q,
-                           KernelRng& rng) { return InverseTransformStep(ctx, l, q, rng); };
-
-  // At least two workers, even on a single-core host: the comparison is
-  // thread dispatch cost (spawn+join vs park+wake), which inline execution
-  // at workers == 1 would bypass entirely.
-  unsigned batch_workers = std::max(2u, cores);
-  auto run_batches = [&](WorkerDispatch dispatch) {
-    SchedulerOptions options;
-    options.num_threads = batch_workers;
-    options.dispatch = dispatch;
-    WalkScheduler scheduler(options);
-    // Warm-up batch so first-touch effects (and the pool's one-time spawn)
-    // don't land inside the timed loop of either mode.
-    scheduler.Run(graph, small_walk, batch_starts, kBenchSeed, its_step);
-    double wall_ms = 0.0;
-    std::vector<NodeId> paths;
-    for (int b = 0; b < kBatches; ++b) {
-      WalkResult result = scheduler.Run(graph, small_walk, batch_starts, kBenchSeed, its_step);
-      wall_ms += result.wall_ms;
-      if (b == 0) {
-        paths = std::move(result.paths);
-      }
-    }
-    return std::pair<double, std::vector<NodeId>>(wall_ms, std::move(paths));
-  };
-
-  auto [pool_ms, pool_paths] = run_batches(WorkerDispatch::kPersistentPool);
-  auto [spawn_ms, spawn_paths] = run_batches(WorkerDispatch::kSpawnPerRun);
-
-  Table batch_table({"dispatch", "batches", "total wall_ms", "ms/batch", "speedup"});
-  batch_table.AddRow({"spawn-per-run", std::to_string(kBatches), Table::Num(spawn_ms),
-                      Table::Num(spawn_ms / kBatches), "1.00x"});
-  batch_table.AddRow({"persistent pool", std::to_string(kBatches), Table::Num(pool_ms),
-                      Table::Num(pool_ms / kBatches), Table::Num(spawn_ms / pool_ms) + "x"});
-  batch_table.Print();
-  bool identical_modes = pool_paths == spawn_paths;
-  paths_ok = paths_ok && identical_modes;
-  std::printf("paths identical across dispatch modes: %s\n", identical_modes ? "yes" : "NO");
-
-  // --- Phase 3a: pure dispensation drain — the ticket counter in isolation.
+  // --- Phase 2a: pure dispensation drain — the ticket counter in isolation.
   // T threads hammer one QueryQueue with no walk work at all; per-query mode
   // is one contended global RMW per ticket, the chunked modes touch the
   // global counter once per chunk. Dispatch counts use dispensed(), the
@@ -206,7 +181,6 @@ int main(int argc, char** argv) {
   PrintHeader("Query dispensation drain", "ticket-counter contention, no walking");
   const size_t kDrainIds = quick ? 1'000'000 : 4'000'000;
   std::vector<NodeId> drain_starts(kDrainIds, 0);
-  std::vector<unsigned> sweep_threads = SweepThreads();
   Table drain_table({"threads", "mode", "drain ms", "Mticket/s", "dispensed", "speedup"});
   for (unsigned threads : sweep_threads) {
     double per_query_ms = 0.0;
@@ -237,7 +211,7 @@ int main(int argc, char** argv) {
   }
   drain_table.Print();
 
-  // --- Phase 3b: the repeated-small-batch walk workload across dispensation
+  // --- Phase 2b: the repeated-small-batch walk workload across dispensation
   // modes. Cheap O(1) cached-alias steps (the served DeepWalk fast path) keep
   // per-query work small enough that dispensation cost is visible; QPS and
   // batch-latency percentiles per config feed BENCH_scheduler.json.
@@ -311,7 +285,7 @@ int main(int argc, char** argv) {
       "rebalances drained cursors — query_queue.h)\n",
       paths_ok ? "yes" : "NO");
 
-  // --- Phase 4: wavefront stepping sweep — the batched inner loop at
+  // --- Phase 3: wavefront stepping sweep — the batched inner loop at
   // widths {1, 4, 16} across thread counts on the Phase-1 walk workload.
   // Steps/sec is wall-clock over actually-sampled steps; W=1 (walk-at-a-
   // time, the pre-wavefront loop shape) is the per-thread-count baseline.
@@ -417,8 +391,9 @@ int main(int argc, char** argv) {
   // hardware_concurrency}, bench, quick, hardware_concurrency, workload,
   // configs:[{threads, mode, total_ms, qps, p50_ms, p99_ms,
   // speedup_vs_per_query}], wavefront_configs:[{threads, wavefront,
-  // wall_ms, steps_per_sec, speedup_vs_w1}]}. The pre-meta top-level
-  // fields are kept so older trajectory tooling still parses new files.
+  // wall_ms, steps_per_sec, speedup_vs_w1}], scaling_configs:[{threads,
+  // wall_ms, speedup_vs_1_thread}]}. The pre-meta top-level fields are kept
+  // so older trajectory tooling still parses new files.
   if (std::FILE* json = std::fopen(json_path.c_str(), "w")) {
     std::fprintf(json, "{\n");
     WriteBenchMetaJson(json, "scheduler_scaling", quick);
@@ -446,6 +421,14 @@ int main(int argc, char** argv) {
                    row.threads, row.wavefront, row.wall_ms, row.steps_per_sec, row.speedup,
                    i + 1 == wave_rows.size() ? "" : ",");
     }
+    std::fprintf(json, "  ],\n  \"scaling_configs\": [\n");
+    for (size_t i = 0; i < scaling_rows.size(); ++i) {
+      const ScalingRow& row = scaling_rows[i];
+      std::fprintf(json,
+                   "    {\"threads\": %u, \"wall_ms\": %.3f, \"speedup_vs_1_thread\": %.3f}%s\n",
+                   row.threads, row.wall_ms, row.speedup,
+                   i + 1 == scaling_rows.size() ? "" : ",");
+    }
     std::fprintf(json,
                  "  ],\n  \"instrumentation_overhead\": {\"steps_per_sec_disabled\": %.1f, "
                  "\"steps_per_sec_enabled\": %.1f}\n}\n",
@@ -457,7 +440,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
   }
 
-  // Non-zero on divergence or instrumentation overhead so the CI smoke
-  // step actually gates both instead of just printing them.
-  return (paths_ok && overhead_ok) ? 0 : 1;
+  // Non-zero on divergence, instrumentation overhead, or (full runs only)
+  // missed scaling, so the gates are enforced instead of just printed.
+  return (paths_ok && overhead_ok && scaling_ok) ? 0 : 1;
 }

@@ -5,7 +5,9 @@ Usage: perf_trajectory.py <previous.json> <current.json> [--threshold 0.10]
 
 Compares the dispensation sweep configs (matched on threads + mode: QPS down
 or p50/p99 up is a regression), the wavefront sweep configs (matched on
-threads + wavefront: steps/sec down is a regression), the out-of-core
+threads + wavefront: steps/sec down is a regression), the strong-scaling
+rows (matched on threads: a lower 1-thread / N-thread wall-clock ratio is a
+regression), the out-of-core
 cache sweep (matched on cache_blocks: QPS/steps-per-sec down or
 peak-RSS up is a regression), the event-loop serving sweep (matched on
 connections: QPS down or p50/p99 up is a regression), and the deadline
@@ -104,6 +106,11 @@ def main():
          [("qps", True), ("p50_ms", False), ("p99_ms", False)]),
         ("wavefront_configs", ("threads", "wavefront"),
          [("steps_per_sec", True)]),
+        # Strong scaling (bench_scheduler_scaling Phase 1): the 1-thread /
+        # N-thread wall-clock ratio dropping at the same thread count means
+        # the walk stopped scaling — e.g. workers contending on shared state.
+        ("scaling_configs", ("threads",),
+         [("speedup_vs_1_thread", True)]),
         # Out-of-core cache sweep (bench_ext_outofcore): a peak-RSS increase
         # at the same cache budget means the fixed overhead grew — exactly
         # the regression the memory-bounded tier exists to prevent.

@@ -4,6 +4,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -164,6 +165,50 @@ std::string HashHex(uint64_t hash) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(hash));
   return buf;
+}
+
+// Digest of every header under <include_dir>/src — relative path and bytes,
+// sorted by path. The emitted TU includes step_inline.h, jit_abi.h and
+// warp.h, and through them WalkContext, QueryState, KernelRng and Philox;
+// folding the headers into the cache key means an edit to any of them can
+// never reload a .so built against the old code. Walked once per process
+// per include dir; ResetForTest forgets the memo.
+std::mutex g_header_mutex;
+std::unordered_map<std::string, uint64_t> g_header_digests;
+
+uint64_t HeaderDigest(const std::string& include_dir) {
+  std::lock_guard<std::mutex> lock(g_header_mutex);
+  auto it = g_header_digests.find(include_dir);
+  if (it != g_header_digests.end()) {
+    return it->second;
+  }
+  fs::path root = fs::path(include_dir) / "src";
+  std::vector<fs::path> headers;
+  std::error_code ec;
+  if (!include_dir.empty()) {
+    for (fs::recursive_directory_iterator entry(root, ec), end; !ec && entry != end;
+         entry.increment(ec)) {
+      if (entry->path().extension() == ".h" && entry->is_regular_file(ec)) {
+        headers.push_back(entry->path());
+      }
+    }
+  }
+  std::sort(headers.begin(), headers.end());
+  uint64_t digest = kFnvSeed;
+  for (const fs::path& header : headers) {
+    std::ifstream in(header, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    digest = Fnv1a(header.lexically_relative(root).generic_string(), digest);
+    digest = Fnv1a(bytes.str(), digest);
+  }
+  g_header_digests.emplace(include_dir, digest);
+  return digest;
+}
+
+void ResetHeaderDigestsForTest() {
+  std::lock_guard<std::mutex> lock(g_header_mutex);
+  g_header_digests.clear();
 }
 
 std::string UniqueSuffix() {
@@ -344,6 +389,7 @@ std::shared_ptr<JitKernel> KernelCache::GetOrCompile(const std::string& source,
   uint64_t hash = Fnv1a(source, kFnvSeed);
   hash = Fnv1a(kCompileFlags, hash);
   hash = Fnv1a(include_dir, hash);
+  hash = Fnv1a(HashHex(HeaderDigest(include_dir)), hash);
   hash = Fnv1a(compiler.has_value() ? compiler->version : "<none>", hash);
   char abi[16];
   std::snprintf(abi, sizeof(abi), "abi%u", kJitAbiVersion);
@@ -409,6 +455,7 @@ void KernelCache::ResetForTest() {
   // Destroying the kernels joins any in-flight compile threads.
   drained.clear();
   ResetDiscoveryForTest();
+  ResetHeaderDigestsForTest();
 }
 
 void CountFallback(const std::string& reason) {

@@ -2,13 +2,14 @@
 //
 // The emitter (step_emitter.h) renders a WeightProgram into one C++
 // translation unit; this layer turns that source into a callable JitStepFn:
-// content-hash the source (plus compiler identity, flags and ABI version),
-// look the hash up in an on-disk cache of compiled shared objects, and only
-// when absent invoke the system compiler. Serving never blocks on a
-// compile — requests are asynchronous by default and the engine polls
-// JitKernel::TryGet(), running interpreted until the kernel is ready. Every
-// failure mode degrades silently to the interpreted kernel and is counted
-// under jit_fallbacks_total{reason=...}:
+// content-hash the source (plus compiler identity, flags, ABI version and
+// the bytes of the repo headers the source can include), look the hash up
+// in an on-disk cache of compiled shared objects, and only when absent
+// invoke the system compiler. Serving never blocks on a compile — requests
+// are asynchronous by default and MakeFlexiWorkerFactory polls
+// JitKernel::TryGet() on every call, running interpreted until the kernel
+// is ready. Every failure mode degrades silently to the interpreted kernel
+// and is counted under jit_fallbacks_total{reason=...}:
 //
 //   unsupported_program — the emitter rejected the program shape (counted
 //                         by the caller via CountFallback)
@@ -54,7 +55,7 @@ class JitKernel {
 
   // The entry point once compiled, loaded and ABI-checked; nullptr while
   // the compile is in flight or after a failure. Safe to poll from any
-  // thread — the serving factory checks once per batch and swaps in.
+  // thread — the worker factory checks on every call and swaps in.
   JitStepFn TryGet() const;
 
   // Blocks until the compile concludes (success or failure) or the timeout
@@ -106,7 +107,8 @@ class KernelCache {
                                           bool async = true);
 
   // Drops every in-memory kernel (joining in-flight compiles) and forgets
-  // the memoized compiler discovery. On-disk .so files are left alone.
+  // the memoized compiler discovery and header digests. On-disk .so files
+  // are left alone.
   void ResetForTest();
 
  private:

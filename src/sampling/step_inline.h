@@ -146,7 +146,8 @@ StepResult ERvsJumpStepT(const WalkContext& ctx, const WeightFn& weight, const Q
   // global max key; each lane then jumps through its remaining neighbors
   // conditioning on the best key it knows (>= the shared seed), and a final
   // reduction picks the winner. A-ExpJ conditioning keeps the selection
-  // distribution exactly proportional to the weights (see DESIGN.md §4).
+  // distribution exactly proportional to the weights (see reservoir.h,
+  // eRVS-JUMP).
   // Keys live in log space throughout: log k = log(u)/w̃ (all negative;
   // larger means a better key), immune to pow() underflow.
   uint32_t lanes = std::min<uint32_t>(degree, kWarpSize);
@@ -157,7 +158,8 @@ StepResult ERvsJumpStepT(const WalkContext& ctx, const WeightFn& weight, const Q
     uint32_t best = kNoIndex;
     uint32_t seed_index = kNoIndex;  // first positive-weight neighbor owned
   };
-  std::vector<LaneState> lane_state(lanes);
+  // lanes <= kWarpSize: fixed storage, so a step never touches the heap.
+  LaneState lane_state[kWarpSize];
 
   // Iteration 1: seed keys. Each lane takes its first positive-weight
   // neighbor; zero-weight neighbors never win.

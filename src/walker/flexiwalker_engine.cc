@@ -62,33 +62,58 @@ FlexiPreparation PrepareFlexiWalker(const Graph& graph, const WalkLogic& logic,
   }
 
   // --- Compiled step kernel (opt-in): specialize the whole step for this
-  // program + strategy and hand the source to the hash-keyed .so cache.
-  // Emitter rejects and every compile/load failure degrade silently to the
-  // interpreted kernel — paths are bit-identical either way, so a kernel
-  // that arrives mid-service can swap in without anyone noticing. ---
-  if (options.jit != jit::JitMode::kOff) {
-    jit::StepKernelSpec spec;
-    spec.strategy = options.strategy;
-    spec.use_static_tables = !prep.static_tables.empty();
-    std::string reject_reason;
-    std::string source = jit::EmitStepKernelSource(logic.program(), spec, &reject_reason);
-    if (source.empty()) {
-      jit::CountFallback("unsupported_program");
-    } else {
-      bool async = options.jit == jit::JitMode::kAuto;
-      prep.jit_kernel =
-          jit::KernelCache::Global().GetOrCompile(source, options.jit_cache_dir, async);
-      if (options.jit == jit::JitMode::kOn && !prep.jit_kernel->WaitReady()) {
-        std::fprintf(stderr,
-                     "flexiwalker: --jit on could not produce a compiled kernel (%s); "
-                     "running interpreted\n",
-                     prep.jit_kernel->fallback_reason().c_str());
-      }
-    }
-  }
+  // program + strategy. Failures degrade silently to the interpreted kernel
+  // — paths are bit-identical either way, so a kernel that arrives
+  // mid-service can swap in without anyone noticing. ---
+  prep.jit_kernel = PrepareFlexiJitKernel(logic, options, !prep.static_tables.empty());
   return prep;
 }
 
+std::shared_ptr<jit::JitKernel> PrepareFlexiJitKernel(const WalkLogic& logic,
+                                                      const FlexiWalkerOptions& options,
+                                                      bool use_static_tables) {
+  if (options.jit == jit::JitMode::kOff) {
+    return nullptr;
+  }
+  jit::StepKernelSpec spec;
+  spec.strategy = options.strategy;
+  spec.use_static_tables = use_static_tables;
+  std::string reject_reason;
+  std::string source = jit::EmitStepKernelSource(logic.program(), spec, &reject_reason);
+  if (source.empty()) {
+    jit::CountFallback("unsupported_program");
+    return nullptr;
+  }
+  bool async = options.jit == jit::JitMode::kAuto;
+  std::shared_ptr<jit::JitKernel> kernel =
+      jit::KernelCache::Global().GetOrCompile(source, options.jit_cache_dir, async);
+  if (options.jit == jit::JitMode::kOn && !kernel->WaitReady()) {
+    std::fprintf(stderr,
+                 "flexiwalker: --jit on could not produce a compiled kernel (%s); "
+                 "running interpreted\n",
+                 kernel->fallback_reason().c_str());
+  }
+  return kernel;
+}
+
+SchedulerOptions FlexiSchedulerOptions(const FlexiWalkerOptions& options,
+                                       const FlexiPreparation& prep) {
+  SchedulerOptions scheduler;
+  scheduler.profile = options.device;
+  scheduler.num_threads = options.host_threads;
+  scheduler.dispense = options.dispense;
+  scheduler.wavefront = options.wavefront;
+  scheduler.preprocessed = prep.preprocessed.empty() ? nullptr : &prep.preprocessed;
+  scheduler.int8_weights = prep.int8_store.empty() ? nullptr : &prep.int8_store;
+  return scheduler;
+}
+
+namespace {
+
+// The per-step mixed-kernel body (§5.2): ballot accounting, per-step
+// sampler selection through `selector`, then eRJS / warp-cooperative eRVS
+// dispatch. Non-allocating; the selector lives in the WorkerKernel
+// keepalive.
 StepKernel MakeFlexiStep(SamplerSelector* selector, uint64_t selector_seed) {
   return [selector, selector_seed](const WalkContext& ctx, const WalkLogic& l,
                                    const QueryState& q, KernelRng& rng) {
@@ -112,6 +137,57 @@ StepKernel MakeFlexiStep(SamplerSelector* selector, uint64_t selector_seed) {
     // shuffles before the warp executes eRVS together.
     ctx.mem().CountCollective(2);
     return ERvsJumpStep(ctx, l, q, rng);
+  };
+}
+
+// A worker's mutable state, one heap object per worker and cache-line
+// aligned so neighbouring workers' per-step tally increments never share a
+// line.
+struct alignas(64) InterpretedWorker {
+  SamplerSelector selector;
+};
+
+struct alignas(64) CompiledWorker {
+  jit::JitStepState state;
+  SelectionCounters counters;
+  std::shared_ptr<jit::JitKernel> pin;  // keeps the dlopen'd code mapped
+};
+
+}  // namespace
+
+WorkerStepFactory MakeFlexiWorkerFactory(const FlexiPreparation& prep, SelectionStrategy strategy,
+                                         uint64_t seed) {
+  const FlexiPreparation* p = &prep;
+  // The kRandom coin's seed, derived from the walk seed.
+  const uint64_t selector_seed = seed ^ 0x5E1EC7;
+  return [p, strategy, selector_seed](unsigned, DeviceContext&) -> WorkerKernel {
+    jit::JitStepFn jit_fn = p->jit_kernel != nullptr ? p->jit_kernel->TryGet() : nullptr;
+    if (jit_fn != nullptr) {
+      auto worker = std::make_shared<CompiledWorker>();
+      worker->state.selector_seed = selector_seed;
+      worker->state.edge_cost_ratio = p->params.edge_cost_ratio;
+      worker->state.degree_threshold = p->params.degree_threshold;
+      worker->state.static_tables = p->static_tables.empty() ? nullptr : &p->static_tables;
+      worker->state.counters = &worker->counters;
+      worker->pin = p->jit_kernel;
+      const jit::JitStepState* st = &worker->state;
+      return WorkerKernel(StepKernel([jit_fn, st](const WalkContext& ctx, const WalkLogic&,
+                                                  const QueryState& q, KernelRng& rng) {
+                            return jit_fn(st, &ctx, &q, &rng);
+                          }),
+                          worker, &worker->counters);
+    }
+    if (!p->static_tables.empty()) {
+      // Static fast path: every step is an O(1) cached-table lookup; no
+      // per-step selection happens, so there is no tally.
+      const std::vector<AliasTable>* tables = &p->static_tables;
+      return StepKernel([tables](const WalkContext& ctx, const WalkLogic&, const QueryState& q,
+                                 KernelRng& rng) { return CachedAliasStep(ctx, *tables, q, rng); });
+    }
+    auto worker = std::make_shared<InterpretedWorker>(
+        SamplerSelector(strategy, p->params, &p->helpers));
+    return WorkerKernel(MakeFlexiStep(&worker->selector, selector_seed), worker,
+                        &worker->selector.counters());
   };
 }
 
@@ -141,91 +217,21 @@ WalkResult FlexiWalkerEngine::Run(const Graph& graph, const WalkLogic& logic,
   // One-time phases (compile, profile, preprocess, quantize) — the same
   // PrepareFlexiWalker the serving factory calls once per service.
   FlexiPreparation prep = PrepareFlexiWalker(graph, logic, options_, device);
-  helpers_ = std::move(prep.helpers);
-  last_profiled_ratio_ = prep.params.edge_cost_ratio;
 
   // --- Main walk: the mixed kernel (§5.2) over the dynamically scheduled
   // queue (§5.3), executed on the persistent worker pool. Each worker owns
-  // a private DeviceContext and SamplerSelector so per-step selection and
-  // accounting are contention-free; the scheduler merges the counters at
-  // drain time, keeping the result's cost scoped to the walk phase alone
-  // (profile and preprocess costs are reported separately, Table 3).
-  SchedulerOptions scheduler_options;
-  scheduler_options.profile = options_.device;
-  scheduler_options.num_threads = options_.host_threads;
-  scheduler_options.dispense = options_.dispense;
-  scheduler_options.wavefront = options_.wavefront;
-  scheduler_options.preprocessed = prep.preprocessed.empty() ? nullptr : &prep.preprocessed;
-  scheduler_options.int8_weights = prep.int8_store.empty() ? nullptr : &prep.int8_store;
-  WalkScheduler scheduler(scheduler_options);
-
-  WalkResult result;
-  SelectionCounters selection;
-  // Resolve the compiled kernel once per Run: the whole run executes either
-  // compiled or interpreted, never a mix (both produce identical paths, but
-  // a stable choice keeps the run's provenance simple).
-  jit::JitStepFn jit_fn = prep.jit_kernel != nullptr ? prep.jit_kernel->TryGet() : nullptr;
-  if (!prep.static_tables.empty()) {
-    // Static fast path: every step is an O(1) cached-table lookup; no
-    // per-step selection happens, so the selection counters stay zero.
-    const std::vector<AliasTable>* tables = &prep.static_tables;
-    if (jit_fn != nullptr) {
-      jit::JitStepState jit_state;
-      jit_state.static_tables = tables;
-      const jit::JitStepState* st = &jit_state;
-      result = scheduler.Run(graph, logic, starts, seed,
-                             [jit_fn, st](const WalkContext& ctx, const WalkLogic&,
-                                          const QueryState& q, KernelRng& rng) {
-                               return jit_fn(st, &ctx, &q, &rng);
-                             });
-    } else {
-      result = scheduler.Run(graph, logic, starts, seed,
-                             [tables](const WalkContext& ctx, const WalkLogic&, const QueryState& q,
-                                      KernelRng& rng) { return CachedAliasStep(ctx, *tables, q, rng); });
-    }
-  } else if (jit_fn != nullptr) {
-    // Compiled path: per-worker JitStepState mirrors the per-worker
-    // SamplerSelector of the interpreted path, so selection tallies stay
-    // contention-free and merge the same way.
-    uint64_t selector_seed = FlexiSelectorSeed(seed);
-    std::vector<SelectionCounters> jit_counters(scheduler.num_threads());
-    std::vector<jit::JitStepState> jit_states(scheduler.num_threads());
-    for (unsigned w = 0; w < scheduler.num_threads(); ++w) {
-      jit_states[w].selector_seed = selector_seed;
-      jit_states[w].edge_cost_ratio = prep.params.edge_cost_ratio;
-      jit_states[w].degree_threshold = prep.params.degree_threshold;
-      jit_states[w].counters = &jit_counters[w];
-    }
-    result = scheduler.RunWithWorkers(
-        graph, logic, starts, seed,
-        [&jit_states, jit_fn](unsigned worker, DeviceContext&) -> WorkerKernel {
-          const jit::JitStepState* st = &jit_states[worker];
-          return StepKernel([jit_fn, st](const WalkContext& ctx, const WalkLogic&,
-                                         const QueryState& q, KernelRng& rng) {
-            return jit_fn(st, &ctx, &q, &rng);
-          });
-        });
-    for (const SelectionCounters& counters : jit_counters) {
-      selection += counters;
-    }
-  } else {
-    std::vector<SamplerSelector> selectors(
-        scheduler.num_threads(), SamplerSelector(options_.strategy, prep.params, &helpers_));
-    uint64_t selector_seed = FlexiSelectorSeed(seed);
-
-    result = scheduler.RunWithWorkers(
-        graph, logic, starts, seed,
-        [&selectors, selector_seed](unsigned worker, DeviceContext&) -> WorkerKernel {
-          return MakeFlexiStep(&selectors[worker], selector_seed);
-        });
-
-    for (const SamplerSelector& selector : selectors) {
-      selection += selector.counters();
-    }
-  }
+  // a private DeviceContext and kernel state so per-step selection and
+  // accounting are contention-free; the scheduler merges the counters and
+  // selection tallies at drain time, keeping the result's cost scoped to
+  // the walk phase alone (profile and preprocess costs are reported
+  // separately, Table 3).
+  WalkScheduler scheduler(FlexiSchedulerOptions(options_, prep));
+  WalkResult result = scheduler.RunWithWorkers(
+      graph, logic, starts, seed, MakeFlexiWorkerFactory(prep, options_.strategy, seed));
   result.profile_sim_ms = prep.profile_sim_ms;
   result.preprocess_sim_ms = prep.preprocess_sim_ms;
-  result.selection = selection;
+  helpers_ = std::move(prep.helpers);
+  last_profiled_ratio_ = prep.params.edge_cost_ratio;
   return result;
 }
 

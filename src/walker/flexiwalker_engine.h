@@ -2,6 +2,15 @@
 // runtime per-step sampler selection (Flexi-Runtime) + the optimized eRJS /
 // eRVS kernels (Flexi-Kernel), executed as the concurrent mixed warp kernel
 // of §5.2 with dynamic query scheduling (§5.3).
+//
+// This header is the execution core every FlexiWalker tier shares. Each
+// tier — the one-shot engine below, the serving WalkService
+// (walk_service.h) and the out-of-core driver (out_of_core.h) — does the
+// same three things: prepare once (PrepareFlexiWalker, or the out-of-core
+// tier's streamed equivalent), build MakeFlexiWorkerFactory over that
+// preparation, and run the factory on its scheduler. The factory is the
+// only code that decides what a worker's step runs: the compiled kernel,
+// the cached static table, or the interpreted eRJS/eRVS selector.
 #ifndef FLEXIWALKER_SRC_WALKER_FLEXIWALKER_ENGINE_H_
 #define FLEXIWALKER_SRC_WALKER_FLEXIWALKER_ENGINE_H_
 
@@ -50,7 +59,7 @@ struct FlexiWalkerOptions {
   uint32_t wavefront = 0;
   // Compiled step kernels (src/compiler/jit.h): emit the workload's step as
   // one specialized C++ function, compile it to a dlopen'd .so cached by
-  // program hash, and run it instead of the interpreted MakeFlexiStep body.
+  // program hash, and run it instead of the interpreted eRJS/eRVS step.
   // Paths and cost counters are bit-identical either way (jit_test's parity
   // matrix enforces it); kAuto compiles in the background and swaps in when
   // ready, kOn blocks until the kernel is available (or falls back with a
@@ -64,9 +73,10 @@ struct FlexiWalkerOptions {
 // Everything FlexiWalker computes once per (graph, workload) before any
 // query runs: the generated helper bundle (§4.2), the calibrated cost-model
 // parameters (§5.1), the preprocessing reductions, and the optional INT8
-// store. Shared by the one-shot engine (rebuilt per Run) and the streaming
-// WalkService (built once at service construction) so the two can never
-// drift — a service's first batch reproduces an engine Run bit-for-bit.
+// store. Shared by the one-shot engine (rebuilt per Run), the streaming
+// WalkService (built once at service construction) and the out-of-core
+// driver (built per run) so the tiers can never drift — a service's first
+// batch reproduces an engine Run bit-for-bit.
 struct FlexiPreparation {
   GeneratedHelpers helpers;
   CostModelParams params;  // params.edge_cost_ratio is the profiled/pinned ratio
@@ -91,21 +101,38 @@ struct FlexiPreparation {
 FlexiPreparation PrepareFlexiWalker(const Graph& graph, const WalkLogic& logic,
                                     const FlexiWalkerOptions& options, DeviceContext& device);
 
-// The walk seed's derived selection-RNG seed — one definition so the engine
-// and the serving factory can't disagree.
-inline uint64_t FlexiSelectorSeed(uint64_t seed) { return seed ^ 0x5E1EC7; }
+// The compiled step kernel for `logic` under options.strategy — the JIT
+// preparation PrepareFlexiWalker and the out-of-core tier share. Null when
+// options.jit is kOff or the emitter rejects the program (counted as an
+// unsupported_program fallback). kAuto returns a kernel that may still be
+// compiling; kOn waits for it and warns on stderr when it failed, in which
+// case the run stays interpreted.
+std::shared_ptr<jit::JitKernel> PrepareFlexiJitKernel(const WalkLogic& logic,
+                                                      const FlexiWalkerOptions& options,
+                                                      bool use_static_tables);
 
-// The per-step mixed-kernel body (§5.2) shared by the one-shot engine and
-// the streaming WalkService: ballot accounting, per-step sampler selection
-// through `selector`, then eRJS / warp-cooperative eRVS dispatch. The
-// kRandom strategy's coin flips come from a per-(query, step) Philox
-// position keyed on `selector_seed`, never from worker-shared state, so
-// selection — and therefore paths — stays seed-stable under threading and
-// across service batches. Returned as a non-allocating StepKernel; the
-// selector must outlive the run it is used in (the engine preallocates
-// per-worker selectors, the serving factory pins per-batch ones through
-// WorkerKernel::state).
-StepKernel MakeFlexiStep(SamplerSelector* selector, uint64_t selector_seed);
+// The scheduler configuration of a FlexiWalker run: the options' device,
+// thread count, dispensation and wavefront, plus the preparation's
+// read-only arrays (null when empty).
+SchedulerOptions FlexiSchedulerOptions(const FlexiWalkerOptions& options,
+                                       const FlexiPreparation& prep);
+
+// Builds each worker's step kernel for every FlexiWalker tier. In order:
+//   * the compiled kernel, when prep.jit_kernel->TryGet() answers — asked
+//     on every call, so a --jit auto compile that lands mid-service swaps
+//     in at the next run (compiled and interpreted steps are bit-identical);
+//   * the O(1) cached alias-table step, when prep.static_tables is set;
+//   * the interpreted mixed kernel (§5.2): ballot accounting, per-step
+//     eRJS/eRVS choice through a SamplerSelector, warp-cooperative eRVS.
+// Each WorkerKernel owns its mutable state — the selector, or the
+// JitStepState plus a pin on the compiled code — in its keepalive and
+// exposes its selection tally, which the scheduler and the out-of-core
+// driver fold into WalkResult::selection. kRandom's coin flips come from a
+// per-(query, step) Philox position keyed on `seed`, never from shared
+// state, so selection stays seed-stable under threading and across service
+// batches. `prep` must outlive every run the factory serves.
+WorkerStepFactory MakeFlexiWorkerFactory(const FlexiPreparation& prep, SelectionStrategy strategy,
+                                         uint64_t seed);
 
 class FlexiWalkerEngine : public Engine {
  public:

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/compiler/analyzer.h"
-#include "src/compiler/step_emitter.h"
 #include "src/sampling/sampler.h"
 #include "src/walker/query_queue.h"
 #include "src/walker/worker_pool.h"
@@ -72,21 +71,20 @@ uint32_t BlockScheduler::PickNext(std::span<const uint64_t> pending) const {
   return static_cast<uint32_t>(best);
 }
 
+namespace {
+
+// Runs every query in `starts` to completion over the partitioned graph,
+// using `cache` for residency. `logic` must be first-order
+// (IsFirstOrderProgram) — throws std::invalid_argument otherwise. `options`
+// carries the same thread, wavefront, dispensation, profile and read-only
+// array settings as an in-memory run, with the wavefront auto width sized
+// by the *full* graph's payload. Each worker's kernel is built once per
+// run, before the first block activation; the result's selection tally and
+// cost fold the workers in index order, as in WalkScheduler.
 WalkResult RunOutOfCore(const BlockStore& store, GraphCache& cache, const WalkLogic& logic,
                         std::span<const NodeId> starts, uint64_t seed,
-                        const WorkerStepFactory& make_step, const OutOfCoreOptions& options,
+                        const WorkerStepFactory& make_step, const SchedulerOptions& options,
                         OutOfCoreStats* stats) {
-  PathArena arena(starts.size(), logic.walk_length() + 1);
-  WalkResult result = RunOutOfCoreInto(store, cache, logic, starts, seed, make_step, options,
-                                       arena.view(), stats);
-  result.paths = arena.TakeNodes();
-  return result;
-}
-
-WalkResult RunOutOfCoreInto(const BlockStore& store, GraphCache& cache, const WalkLogic& logic,
-                            std::span<const NodeId> starts, uint64_t seed,
-                            const WorkerStepFactory& make_step, const OutOfCoreOptions& options,
-                            PathArenaView out, OutOfCoreStats* stats) {
   if (!IsFirstOrderProgram(logic.program())) {
     throw std::invalid_argument(
         "RunOutOfCore: workload '" + logic.name() +
@@ -94,17 +92,21 @@ WalkResult RunOutOfCoreInto(const BlockStore& store, GraphCache& cache, const Wa
         "row); out-of-core execution requires first-order walks");
   }
   const uint32_t length = logic.walk_length();
-  assert(starts.empty() || (out.stride == length + 1 && out.rows >= starts.size()));
+  PathArena arena(starts.size(), length + 1);
+  PathArenaView out = arena.view();
   WalkResult result;
   result.path_stride = length + 1;
   result.num_queries = starts.size();
 
   // Same worker-count resolution as the in-memory tier (thread budget,
   // clamps) so a pinned --threads behaves identically in both.
-  SchedulerOptions resolve;
-  resolve.num_threads = options.num_threads;
-  const unsigned max_workers = WalkScheduler(resolve).num_threads();
+  const unsigned max_workers = WalkScheduler(options).num_threads();
   std::vector<DeviceContext> devices(max_workers, DeviceContext(options.profile));
+  std::vector<WorkerKernel> kernels;
+  kernels.reserve(max_workers);
+  for (unsigned w = 0; w < max_workers; ++w) {
+    kernels.push_back(make_step(w, devices[w]));
+  }
 
   uint32_t width = options.wavefront == 0
                        ? (store.TotalPayloadBytes() > kWavefrontAutoBytes ? kDefaultWavefront : 1)
@@ -164,8 +166,7 @@ WalkResult RunOutOfCoreInto(const BlockStore& store, GraphCache& cache, const Wa
     auto worker_body = [&](unsigned w) {
       DeviceContext& device = devices[w];
       WalkContext ctx{&view, &device, options.preprocessed, options.int8_weights};
-      WorkerKernel kernel = make_step(w, device);  // keepalive lives to end of drain
-      const StepKernel step = kernel.step;
+      const StepKernel step = kernels[w].step;
       std::vector<std::pair<uint32_t, ParkedWalk>>& outbox = staged[w];
 
       // Claims the next parked walk into `slot`, reconstructing its Philox
@@ -273,7 +274,11 @@ WalkResult RunOutOfCoreInto(const BlockStore& store, GraphCache& cache, const Wa
   CostCounters merged;
   for (unsigned w = 0; w < max_workers; ++w) {
     merged += devices[w].mem().counters();
+    if (kernels[w].selection != nullptr) {
+      result.selection += *kernels[w].selection;
+    }
   }
+  result.paths = arena.TakeNodes();
   result.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   result.cost = merged;
   result.sim_ms = options.profile.SimulatedMsFor(merged);
@@ -290,6 +295,8 @@ WalkResult RunOutOfCoreInto(const BlockStore& store, GraphCache& cache, const Wa
   }
   return result;
 }
+
+}  // namespace
 
 PreprocessedData PreprocessOutOfCore(const BlockStore& store, GraphCache& cache,
                                      const PreprocessPlan& plan, DeviceContext& device) {
@@ -344,100 +351,29 @@ WalkResult RunFlexiWalkerOutOfCore(const BlockStore& store, const WalkLogic& log
         "RunFlexiWalkerOutOfCore: INT8 weights and cached static tables "
         "build O(edges) resident structures; disable them for out-of-core runs");
   }
-  DeviceContext device(options.device);
-  Generator generator;
-  GeneratedHelpers helpers = generator.Generate(logic.program());
-  CostModelParams params;
-  params.edge_cost_ratio = *options.edge_cost_ratio;
-  params.degree_threshold = options.degree_threshold;
+  // The out-of-core FlexiPreparation: the generated helpers, the pinned
+  // cost-model parameters, the h reductions streamed one block at a time,
+  // and the compiled kernel from the same JIT preparation as the in-memory
+  // tier. Never the static-table variant: this tier builds no O(edges)
+  // tables. The kernel only sees the per-block WalkContext the driver hands
+  // every step, so block residency is transparent to it.
+  FlexiPreparation prep;
+  prep.helpers = Generator().Generate(logic.program());
+  prep.params.edge_cost_ratio = *options.edge_cost_ratio;
+  prep.params.degree_threshold = options.degree_threshold;
 
   GraphCache cache(&store, cache_blocks);
-
-  PreprocessedData preprocessed;
-  double preprocess_sim_ms = 0.0;
-  if (helpers.valid() && store.weighted()) {
-    CostCounters before = device.mem().counters();
-    preprocessed = PreprocessOutOfCore(store, cache, helpers.plan(), device);
-    CostCounters delta = device.mem().counters() - before;
-    preprocess_sim_ms = device.profile().SimulatedMsFor(delta);
+  if (prep.helpers.valid() && store.weighted()) {
+    DeviceContext device(options.device);
+    prep.preprocessed = PreprocessOutOfCore(store, cache, prep.helpers.plan(), device);
+    prep.preprocess_sim_ms = device.profile().SimulatedMsFor(device.mem().counters());
   }
+  prep.jit_kernel = PrepareFlexiJitKernel(logic, options, /*use_static_tables=*/false);
 
-  OutOfCoreOptions ooc;
-  ooc.cache_blocks = cache_blocks;
-  ooc.num_threads = options.host_threads;
-  ooc.wavefront = options.wavefront;
-  ooc.dispense = options.dispense;
-  ooc.profile = options.device;
-  ooc.preprocessed = preprocessed.empty() ? nullptr : &preprocessed;
-
-  // Compiled step kernel (same emit + cache the in-memory engine uses; the
-  // out-of-core driver never caches static tables, so the spec is always
-  // the dynamic variant). The kernel only sees the per-block WalkContext
-  // the driver hands every step, so block residency is transparent to it.
-  std::shared_ptr<jit::JitKernel> jit_kernel;
-  if (options.jit != jit::JitMode::kOff) {
-    jit::StepKernelSpec spec;
-    spec.strategy = options.strategy;
-    std::string reject_reason;
-    std::string source = jit::EmitStepKernelSource(logic.program(), spec, &reject_reason);
-    if (source.empty()) {
-      jit::CountFallback("unsupported_program");
-    } else {
-      bool async = options.jit == jit::JitMode::kAuto;
-      jit_kernel = jit::KernelCache::Global().GetOrCompile(source, options.jit_cache_dir, async);
-      if (options.jit == jit::JitMode::kOn) {
-        jit_kernel->WaitReady();
-      }
-    }
-  }
-  jit::JitStepFn jit_fn = jit_kernel != nullptr ? jit_kernel->TryGet() : nullptr;
-
-  // One persistent selector per worker index, exactly like the in-memory
-  // engine, so selection counters accumulate across block activations.
-  SchedulerOptions resolve;
-  resolve.num_threads = options.host_threads;
-  unsigned workers = WalkScheduler(resolve).num_threads();
-  std::vector<SamplerSelector> selectors(workers,
-                                         SamplerSelector(options.strategy, params, &helpers));
-  uint64_t selector_seed = FlexiSelectorSeed(seed);
-
-  WalkResult result;
-  SelectionCounters selection;
-  if (jit_fn != nullptr) {
-    std::vector<SelectionCounters> jit_counters(workers);
-    std::vector<jit::JitStepState> jit_states(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      jit_states[w].selector_seed = selector_seed;
-      jit_states[w].edge_cost_ratio = params.edge_cost_ratio;
-      jit_states[w].degree_threshold = params.degree_threshold;
-      jit_states[w].counters = &jit_counters[w];
-    }
-    result = RunOutOfCore(
-        store, cache, logic, starts, seed,
-        [&jit_states, jit_fn](unsigned worker, DeviceContext&) -> WorkerKernel {
-          const jit::JitStepState* st = &jit_states[worker];
-          return StepKernel([jit_fn, st](const WalkContext& ctx, const WalkLogic&,
-                                         const QueryState& q, KernelRng& rng) {
-            return jit_fn(st, &ctx, &q, &rng);
-          });
-        },
-        ooc, stats);
-    for (const SelectionCounters& counters : jit_counters) {
-      selection += counters;
-    }
-  } else {
-    result = RunOutOfCore(
-        store, cache, logic, starts, seed,
-        [&selectors, selector_seed](unsigned worker, DeviceContext&) -> WorkerKernel {
-          return MakeFlexiStep(&selectors[worker], selector_seed);
-        },
-        ooc, stats);
-    for (const SamplerSelector& selector : selectors) {
-      selection += selector.counters();
-    }
-  }
-  result.selection = selection;
-  result.preprocess_sim_ms = preprocess_sim_ms;
+  WalkResult result = RunOutOfCore(store, cache, logic, starts, seed,
+                                   MakeFlexiWorkerFactory(prep, options.strategy, seed),
+                                   FlexiSchedulerOptions(options, prep), stats);
+  result.preprocess_sim_ms = prep.preprocess_sim_ms;
   return result;
 }
 

@@ -7,10 +7,17 @@
 // the block holding its current node's row, and the driver repeatedly (1)
 // asks the BlockScheduler for the next block — by pending-walk count and
 // I/O cost — (2) makes it resident, and (3) runs the block's parked walks
-// to their next block boundary with the same wavefront inner loop and
-// StepKernel delegates the in-memory WalkScheduler uses. A walk whose next
-// row lies outside the resident block re-parks; one whose walk completes
-// (full length or dead end) retires.
+// to their next block boundary with the same wavefront inner loop the
+// in-memory WalkScheduler uses. A walk whose next row lies outside the
+// resident block re-parks; one whose walk completes (full length or dead
+// end) retires.
+//
+// Kernel choice is not made here: RunFlexiWalkerOutOfCore prepares a
+// FlexiPreparation and runs MakeFlexiWorkerFactory (flexiwalker_engine.h),
+// the same factory the in-memory engine and the WalkService use. The
+// driver builds each worker's kernel once per run, not once per block
+// activation, and folds the workers' selection tallies like their cost
+// counters.
 //
 // Eligibility: first-order workloads only (IsFirstOrderProgram) — a step at
 // node v may read only v's row, so block residency of v is sufficient.
@@ -37,23 +44,6 @@
 #include "src/walker/scheduler.h"
 
 namespace flexi {
-
-struct OutOfCoreOptions {
-  // Resident-block budget (GraphCache capacity). The run's edge-array
-  // memory is bounded by cache_blocks * block payload bytes.
-  uint32_t cache_blocks = 4;
-  unsigned num_threads = 0;  // 0 => DefaultWorkerThreads()
-  // Wavefront width inside a resident block (scheduler.h semantics):
-  // 0 = auto by the *full* graph's payload footprint, 1 = walk-at-a-time.
-  uint32_t wavefront = 0;
-  // Dispensation of a block's parked-walk buffer across workers; same modes
-  // and determinism guarantees as the in-memory tier (query_queue.h).
-  DispenseOptions dispense;
-  uint64_t query_id_offset = 0;
-  DeviceProfile profile = DeviceProfile::SimulatedGpu();
-  const PreprocessedData* preprocessed = nullptr;
-  const Int8WeightStore* int8_weights = nullptr;
-};
 
 struct OutOfCoreStats {
   uint64_t block_loads = 0;        // disk reads (GraphCache misses)
@@ -84,22 +74,6 @@ class BlockScheduler {
   const GraphCache* cache_;
 };
 
-// Runs every query in `starts` to completion over the partitioned graph,
-// using `cache` for residency. `logic` must be first-order
-// (IsFirstOrderProgram) — throws std::invalid_argument otherwise. The
-// result's paths live in a result-owned arena exactly like
-// WalkScheduler::RunWithWorkers; RunOutOfCoreInto writes into caller-owned
-// storage under the same contract as RunWithWorkersInto (stride ==
-// walk_length + 1, rows prefilled with kInvalidNode).
-WalkResult RunOutOfCore(const BlockStore& store, GraphCache& cache, const WalkLogic& logic,
-                        std::span<const NodeId> starts, uint64_t seed,
-                        const WorkerStepFactory& make_step, const OutOfCoreOptions& options,
-                        OutOfCoreStats* stats = nullptr);
-WalkResult RunOutOfCoreInto(const BlockStore& store, GraphCache& cache, const WalkLogic& logic,
-                            std::span<const NodeId> starts, uint64_t seed,
-                            const WorkerStepFactory& make_step, const OutOfCoreOptions& options,
-                            PathArenaView out, OutOfCoreStats* stats = nullptr);
-
 // Streamed h_MAX / h_SUM preprocessing: one pass over the blocks through
 // `cache`, computing each node's reductions with the same per-row
 // arithmetic as RunPreprocess — the arrays are bit-identical to the
@@ -109,14 +83,20 @@ PreprocessedData PreprocessOutOfCore(const BlockStore& store, GraphCache& cache,
                                      const PreprocessPlan& plan, DeviceContext& device);
 
 // FlexiWalker over a block store: the out-of-core counterpart of
-// FlexiWalkerEngine::Run. Requirements beyond first-order logic:
+// FlexiWalkerEngine::Run. `cache_blocks` is the resident-block budget
+// (GraphCache capacity), so the run's edge-array memory is bounded by
+// cache_blocks * block payload bytes. Each requirement below throws
+// std::invalid_argument when violated:
+//   * `logic` must be first-order (IsFirstOrderProgram).
 //   * options.edge_cost_ratio must be pinned — profiling samples the whole
 //     graph, which is exactly what out-of-core execution cannot assume is
 //     loadable. Pin the same ratio on the in-memory engine to compare runs.
 //   * use_int8_weights and cache_static_tables are rejected: both build
 //     O(edges) resident structures, defeating the memory bound.
-// With the same seed, starts, and pinned options, paths are bit-identical
-// to FlexiWalkerEngine::Run on the unpartitioned graph.
+// The options' threads, wavefront (0 = auto by the *full* graph's payload)
+// and dispensation shape execution only. With the same seed, starts, and
+// pinned options, paths are bit-identical to FlexiWalkerEngine::Run on the
+// unpartitioned graph.
 WalkResult RunFlexiWalkerOutOfCore(const BlockStore& store, const WalkLogic& logic,
                                    const FlexiWalkerOptions& options, uint32_t cache_blocks,
                                    std::span<const NodeId> starts, uint64_t seed,

@@ -110,13 +110,16 @@ WalkResult WalkScheduler::RunWithWorkersInto(const Graph& graph, const WalkLogic
 
   QueryQueue queue(starts, workers, options_.dispense);
   std::vector<DeviceContext> devices(workers, DeviceContext(options_.profile));
+  // Worker kernels live until the run returns: the fold after the join
+  // reads each one's selection tally out of its keepalive.
+  std::vector<WorkerKernel> kernels(workers);
 
   // One worker: drain the queue through a wavefront of up to W in-flight
   // walks, advancing every live slot one step per pass. Every write a
-  // worker makes — path rows, its private DeviceContext — is keyed by the
-  // query ids it drew or owned outright, so workers never touch the same
-  // memory; the pool's job-completion handshake (or the joins of
-  // spawn-per-run dispatch) publishes everything to this thread.
+  // worker makes — path rows, its private DeviceContext and kernel slot —
+  // is keyed by the query ids it drew or owned outright, so workers never
+  // touch the same memory; the pool's job-completion handshake publishes
+  // everything to this thread.
   //
   // Auto width: wavefronts pay a small staging cost per step and win it
   // back by overlapping CSR row misses — which only exist when the graph
@@ -130,8 +133,8 @@ WalkResult WalkScheduler::RunWithWorkersInto(const Graph& graph, const WalkLogic
   auto worker_body = [&](unsigned w) {
     DeviceContext& device = devices[w];
     WalkContext ctx{&graph, &device, options_.preprocessed, options_.int8_weights};
-    WorkerKernel kernel = make_step(w, device);  // keepalive lives to end of drain
-    const StepKernel step = kernel.step;
+    kernels[w] = make_step(w, device);
+    const StepKernel step = kernels[w].step;
 
     // Cooperative cancellation check, evaluated at pass/claim boundaries
     // only (see SchedulerOptions::cancel) — one relaxed load when armed,
@@ -267,11 +270,7 @@ WalkResult WalkScheduler::RunWithWorkersInto(const Graph& graph, const WalkLogic
   };
 
   auto t0 = std::chrono::steady_clock::now();
-  if (options_.dispatch == WorkerDispatch::kSpawnPerRun) {
-    RunOnFreshThreads(workers, worker_body);
-  } else {
-    RunOnWorkers(workers, worker_body);
-  }
+  RunOnWorkers(workers, worker_body);
   auto t1 = std::chrono::steady_clock::now();
 
   if (obs::MetricsEnabled()) {
@@ -283,12 +282,15 @@ WalkResult WalkScheduler::RunWithWorkersInto(const Graph& graph, const WalkLogic
     metrics.refills.Add(queue.refills());
   }
 
-  // Deterministic drain: fold per-worker counters in worker-index order.
-  // The counts are integer sums, so the merged totals equal the
-  // single-thread totals exactly, whatever the interleaving was.
+  // Deterministic drain: fold per-worker counters and selection tallies in
+  // worker-index order. The counts are integer sums, so the merged totals
+  // equal the single-thread totals exactly, whatever the interleaving was.
   CostCounters merged;
   for (unsigned w = 0; w < workers; ++w) {
     merged += devices[w].mem().counters();
+    if (kernels[w].selection != nullptr) {
+      result.selection += *kernels[w].selection;
+    }
   }
   result.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   result.cost = merged;

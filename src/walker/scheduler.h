@@ -23,10 +23,9 @@
 // only its own path row. Which worker runs a query — and how its steps
 // interleave with other wavefront slots — therefore cannot affect its walk,
 // so paths are bit-identical for 1, 2, or N worker threads, any wavefront
-// width, either dispatch mode, and across batch boundaries when the
-// WalkService assigns global query ids. scheduler_test.cc and
-// walk_service_test.cc enforce this; docs/ARCHITECTURE.md spells out the
-// full contract with examples.
+// width, and across batch boundaries when the WalkService assigns global
+// query ids. scheduler_test.cc and walk_service_test.cc enforce this;
+// docs/ARCHITECTURE.md spells out the full contract with examples.
 #ifndef FLEXIWALKER_SRC_WALKER_SCHEDULER_H_
 #define FLEXIWALKER_SRC_WALKER_SCHEDULER_H_
 
@@ -102,32 +101,25 @@ class StepKernel {
 
 // What a worker runs with for one Run: the step delegate plus optional
 // shared ownership of whatever per-run state the delegate's captured
-// pointers reach (e.g. a serving batch's SamplerSelector). The worker body
-// holds `state` alive for the duration of its drain loop; the delegate
-// itself stays trivially copyable.
+// pointers reach (e.g. FlexiWalker's per-worker SamplerSelector). The run
+// holds `state` alive until every worker has drained; the delegate itself
+// stays trivially copyable. `selection`, when set, points into that state
+// at the worker's eRJS/eRVS tally, which the run folds into
+// WalkResult::selection in worker order, like the CostCounters.
 struct WorkerKernel {
   StepKernel step;
   std::shared_ptr<void> state;
+  const SelectionCounters* selection = nullptr;
 
   WorkerKernel() = default;
-  WorkerKernel(StepKernel s, std::shared_ptr<void> keepalive = nullptr)  // NOLINT
-      : step(s), state(std::move(keepalive)) {}
+  WorkerKernel(StepKernel s, std::shared_ptr<void> keepalive = nullptr,  // NOLINT
+               const SelectionCounters* tally = nullptr)
+      : step(s), state(std::move(keepalive)), selection(tally) {}
 };
 
-// Builds a worker's kernel. Called once on each worker thread per Run —
-// never on the per-step path — before it starts pulling queries; `worker`
-// indexes any per-worker state the engine preallocated (e.g. FlexiWalker's
-// per-worker SamplerSelector).
+// Builds a worker's kernel. Called once per worker per Run — never on the
+// per-step path — before it starts pulling queries.
 using WorkerStepFactory = std::function<WorkerKernel(unsigned worker, DeviceContext& device)>;
-
-// How a Run's worker bodies reach real threads. The persistent pool is the
-// default everywhere; spawn-per-run survives as the A/B reference that
-// bench_scheduler_scaling measures the pool against. Paths are bit-identical
-// across modes — dispatch moves threads, never randomness.
-enum class WorkerDispatch {
-  kPersistentPool,  // park-and-wake workers from WorkerPool::Global()
-  kSpawnPerRun,     // fresh std::threads, joined before Run returns
-};
 
 // Wavefront width bounds. The default is wide enough to hide one DRAM miss
 // behind the other slots' sampling work on current cores; the cap keeps a
@@ -146,7 +138,6 @@ inline constexpr size_t kWavefrontAutoBytes = size_t{32} << 20;
 struct SchedulerOptions {
   DeviceProfile profile = DeviceProfile::SimulatedGpu();
   unsigned num_threads = 0;  // 0 => DefaultWorkerThreads()
-  WorkerDispatch dispatch = WorkerDispatch::kPersistentPool;
   // Global id of the batch's first query. One-shot engine Runs leave this 0;
   // the WalkService sets it to its monotonic submission cursor so a query's
   // Philox subsequence — (seed, query_id_offset + local id) — is unique

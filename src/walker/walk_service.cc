@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/sampling/alias.h"
-
 namespace flexi {
 
 WalkService::WalkService(const Graph& graph, const WalkLogic& logic, Options options,
@@ -134,102 +132,25 @@ uint64_t WalkService::queries_submitted() const {
   return next_query_id_;
 }
 
-namespace {
-
-// Everything FlexiWalker prepares once per (graph, workload) and reuses
-// across every served batch. Owned by the service via its kernel_state
-// handle; the step factory captures a raw pointer into it.
-struct FlexiServingState {
-  FlexiPreparation prep;
-};
-
-// Per-(batch, worker) state of a compiled step kernel: the runtime
-// parameters the .so reads, a private counter sink (pipelined batches would
-// otherwise race on shares), and a pin on the kernel so the dlopen'd code
-// outlives every in-flight step. Rides in the WorkerKernel keepalive.
-struct JitWorkerState {
-  jit::JitStepState state;
-  SelectionCounters counters;
-  std::shared_ptr<jit::JitKernel> pin;
-};
-
-}  // namespace
-
 std::unique_ptr<WalkService> MakeFlexiWalkerService(const Graph& graph, const WalkLogic& logic,
                                                     FlexiWalkerOptions options, uint64_t seed,
                                                     unsigned pipeline_depth) {
-  auto state = std::make_shared<FlexiServingState>();
-  DeviceContext device(options.device);
-
   // The engine's one-time phases — the same PrepareFlexiWalker call
   // FlexiWalkerEngine::Run makes, so a served batch reproduces the engine.
-  state->prep = PrepareFlexiWalker(graph, logic, options, device);
+  // The service owns the preparation through its kernel_state handle.
+  DeviceContext device(options.device);
+  auto prep = std::make_shared<FlexiPreparation>(PrepareFlexiWalker(graph, logic, options, device));
 
   WalkService::Options service_options;
   service_options.seed = seed;
   service_options.pipeline_depth = pipeline_depth;
-  service_options.scheduler.profile = options.device;
-  service_options.scheduler.num_threads = options.host_threads;
-  service_options.scheduler.dispense = options.dispense;
-  service_options.scheduler.wavefront = options.wavefront;
-  service_options.scheduler.preprocessed =
-      state->prep.preprocessed.empty() ? nullptr : &state->prep.preprocessed;
-  service_options.scheduler.int8_weights =
-      state->prep.int8_store.empty() ? nullptr : &state->prep.int8_store;
-
-  uint64_t selector_seed = FlexiSelectorSeed(seed);
-  FlexiServingState* raw = state.get();
-  // The factory runs once per (batch, worker). Selectors are created per
-  // call — not preallocated per worker index — because pipelined batches
-  // execute concurrently and would otherwise race on a shared selector's
-  // counters. Selection behavior is a pure function of (strategy, params,
-  // helpers, selector_seed), so per-batch selectors cannot change paths.
-  // The selector's ownership rides in the WorkerKernel keepalive — the
-  // worker's drain loop pins it — so the per-step delegate stays a
-  // non-allocating pointer capture.
-  // A compiled kernel finishing mid-service swaps in at the next batch: the
-  // factory polls TryGet() per call, and compiled vs interpreted steps are
-  // bit-identical, so the swap is invisible to clients.
-  WorkerStepFactory factory = [raw, selector_seed, strategy = options.strategy](
-                                  unsigned, DeviceContext&) -> WorkerKernel {
-    jit::JitStepFn jit_fn =
-        raw->prep.jit_kernel != nullptr ? raw->prep.jit_kernel->TryGet() : nullptr;
-    if (!raw->prep.static_tables.empty()) {
-      const std::vector<AliasTable>* tables = &raw->prep.static_tables;
-      if (jit_fn != nullptr) {
-        auto jit_state = std::make_shared<JitWorkerState>();
-        jit_state->state.static_tables = tables;
-        jit_state->pin = raw->prep.jit_kernel;
-        const jit::JitStepState* st = &jit_state->state;
-        return WorkerKernel(StepKernel([jit_fn, st](const WalkContext& ctx, const WalkLogic&,
-                                                    const QueryState& q, KernelRng& rng) {
-                              return jit_fn(st, &ctx, &q, &rng);
-                            }),
-                            jit_state);
-      }
-      return StepKernel([tables](const WalkContext& ctx, const WalkLogic&, const QueryState& q,
-                                 KernelRng& rng) { return CachedAliasStep(ctx, *tables, q, rng); });
-    }
-    if (jit_fn != nullptr) {
-      auto jit_state = std::make_shared<JitWorkerState>();
-      jit_state->state.selector_seed = selector_seed;
-      jit_state->state.edge_cost_ratio = raw->prep.params.edge_cost_ratio;
-      jit_state->state.degree_threshold = raw->prep.params.degree_threshold;
-      jit_state->state.counters = &jit_state->counters;
-      jit_state->pin = raw->prep.jit_kernel;
-      const jit::JitStepState* st = &jit_state->state;
-      return WorkerKernel(StepKernel([jit_fn, st](const WalkContext& ctx, const WalkLogic&,
-                                                  const QueryState& q, KernelRng& rng) {
-                            return jit_fn(st, &ctx, &q, &rng);
-                          }),
-                          jit_state);
-    }
-    auto selector = std::make_shared<SamplerSelector>(strategy, raw->prep.params,
-                                                      &raw->prep.helpers);
-    return WorkerKernel(MakeFlexiStep(selector.get(), selector_seed), selector);
-  };
+  service_options.scheduler = FlexiSchedulerOptions(options, *prep);
+  // The factory runs once per (batch, worker) and gives each call its own
+  // selector or compiled-kernel state, so pipelined batches share no
+  // mutable state and each batch reports its own selection tally.
+  WorkerStepFactory factory = MakeFlexiWorkerFactory(*prep, options.strategy, seed);
   return std::make_unique<WalkService>(graph, logic, std::move(service_options),
-                                       std::move(factory), std::move(state));
+                                       std::move(factory), std::move(prep));
 }
 
 }  // namespace flexi

@@ -63,9 +63,9 @@ class WalkService {
   // `make_step` builds each scheduler worker's kernel, exactly as in
   // WalkScheduler::RunWithWorkers; it must tolerate every worker index below
   // the resolved thread count for the service's lifetime. `kernel_state`
-  // optionally pins shared ownership of whatever the factory captures
-  // (helpers, preprocessed arrays, selectors); per-(batch, worker) state
-  // rides in each returned WorkerKernel's own keepalive.
+  // optionally pins shared ownership of whatever the factory captures (for
+  // FlexiWalker, the FlexiPreparation); per-(batch, worker) state rides in
+  // each returned WorkerKernel's own keepalive.
   WalkService(const Graph& graph, const WalkLogic& logic, Options options,
               WorkerStepFactory make_step, std::shared_ptr<void> kernel_state = nullptr);
 
@@ -149,15 +149,18 @@ class WalkService {
   std::vector<std::thread> dispatchers_;  // one per pipeline slot
 };
 
-// Builds a serving FlexiWalker: performs the engine's one-time phases —
-// helper generation (§4.2), EdgeCost profiling (§5.1), preprocessing
-// reductions, optional INT8 quantization, and (when
-// options.cache_static_tables applies) the cached static-walk alias tables —
-// exactly once, then serves every batch with the mixed eRJS/eRVS kernel and
-// per-batch SamplerSelectors (per-batch so pipelined batches share no
-// mutable state). A single batch submitted first thing reproduces
-// FlexiWalkerEngine::Run's paths bit-for-bit (same seed, same starts, same
-// options). `pipeline_depth` > 1 lets that many batches overlap on the pool.
+// Builds a serving FlexiWalker: runs PrepareFlexiWalker once — helper
+// generation (§4.2), EdgeCost profiling (§5.1), preprocessing reductions,
+// optional INT8 quantization, the cached static-walk alias tables when
+// options.cache_static_tables applies, and the optional compiled kernel —
+// then serves every batch through MakeFlexiWorkerFactory, the same kernel
+// choice the one-shot engine makes. The factory runs per (batch, worker),
+// so pipelined batches share no mutable state, a --jit auto kernel swaps
+// in at the first batch after it compiles, and every batch's
+// walk.selection reports its own eRJS/eRVS tally. A single batch submitted
+// first thing reproduces FlexiWalkerEngine::Run's paths, cost and
+// selection bit-for-bit (same seed, same starts, same options).
+// `pipeline_depth` > 1 lets that many batches overlap on the pool.
 std::unique_ptr<WalkService> MakeFlexiWalkerService(const Graph& graph, const WalkLogic& logic,
                                                     FlexiWalkerOptions options, uint64_t seed,
                                                     unsigned pipeline_depth = 1);

@@ -221,22 +221,6 @@ void RunOnWorkers(unsigned workers, const std::function<void(unsigned)>& body) {
   WorkerPool::Global().Run(workers, body);
 }
 
-void RunOnFreshThreads(unsigned workers, const std::function<void(unsigned)>& body) {
-  workers = std::clamp(workers, 1u, kMaxHostWorkers);
-  if (workers == 1) {
-    body(0);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    pool.emplace_back(body, w);
-  }
-  for (std::thread& t : pool) {
-    t.join();
-  }
-}
-
 void ParallelForRanges(unsigned threads, size_t n,
                        const std::function<void(unsigned, size_t, size_t)>& body) {
   if (n == 0) {

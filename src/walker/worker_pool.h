@@ -119,11 +119,6 @@ class WorkerPool {
 // [1, kMaxHostWorkers].
 void RunOnWorkers(unsigned workers, const std::function<void(unsigned)>& body);
 
-// The pre-pool dispatch: spawns `workers` fresh std::threads and joins them.
-// Kept for the spawn-vs-pool comparison in bench_scheduler_scaling and as
-// the reference semantics the pool must match (WorkerDispatch::kSpawnPerRun).
-void RunOnFreshThreads(unsigned workers, const std::function<void(unsigned)>& body);
-
 // Shards [0, n) into contiguous ranges, one per worker, and runs `body` on
 // the global pool. For preprocessing/profiling/quantization kernels whose
 // work is indexed by node or edge rather than by query; `body(begin, end)`

@@ -1,7 +1,8 @@
 // Compiled step kernels (src/compiler/jit.h, step_emitter.h): emitter golden
-// source and determinism, cache keying and disk hits, corrupt-cache
-// recovery, every fallback reason, and the compiled-vs-interpreted parity
-// matrix — paths, selection tallies and device-model charges must be
+// source and determinism, cache keying (source and included headers) and
+// disk hits, corrupt-cache recovery, every fallback reason, and the
+// compiled-vs-interpreted parity matrix — paths, selection tallies and
+// device-model charges must be
 // bit-identical across workloads, strategies, thread counts, wavefronts,
 // dispensation modes, the static-table fast path, and the out-of-core tier.
 #include <gtest/gtest.h>
@@ -219,6 +220,46 @@ TEST_F(JitTest, DifferentSourcesGetDifferentCacheEntries) {
     }
   }
   EXPECT_EQ(so_files, 2u);
+}
+
+TEST_F(JitTest, HeaderEditInvalidatesTheDiskCache) {
+  // The emitted source includes repo headers, so their bytes are part of the
+  // cache key: after an edit to one, the same source must compile afresh
+  // instead of reloading the .so built against the old header.
+  fs::path repo_src = fs::path(__FILE__).parent_path().parent_path() / "src";
+  ASSERT_TRUE(fs::exists(repo_src / "sampling" / "step_inline.h")) << repo_src;
+  fs::path include_root = fs::temp_directory_path() / "flexi_jit_test_include_root";
+  std::error_code ec;
+  fs::remove_all(include_root, ec);
+  for (const auto& entry : fs::recursive_directory_iterator(repo_src)) {
+    if (entry.path().extension() == ".h") {
+      fs::path copy = include_root / "src" / entry.path().lexically_relative(repo_src);
+      fs::create_directories(copy.parent_path());
+      fs::copy_file(entry.path(), copy);
+    }
+  }
+  ScopedEnv inc("FLEXI_JIT_INCLUDE_DIR", include_root.c_str());
+  std::string dir = FreshCacheDir("header_key");
+  Node2VecWalk walk(2.0, 0.5, 12);
+  std::string reason;
+  std::string source = jit::EmitStepKernelSource(walk.program(), {}, &reason);
+  auto first = jit::KernelCache::Global().GetOrCompile(source, dir, /*async=*/false);
+  ASSERT_TRUE(first->WaitReady()) << first->fallback_reason() << ": " << first->detail();
+  EXPECT_EQ(CounterValue("jit_compiles_total"), 1u);
+
+  first.reset();
+  jit::KernelCache::Global().ResetForTest();
+  {
+    std::ofstream edit(include_root / "src" / "sampling" / "step_inline.h", std::ios::app);
+    edit << "// edited after the first compile\n";
+  }
+  auto second = jit::KernelCache::Global().GetOrCompile(source, dir, /*async=*/false);
+  ASSERT_TRUE(second->WaitReady()) << second->fallback_reason() << ": " << second->detail();
+  EXPECT_EQ(CounterValue("jit_compiles_total"), 2u);
+  EXPECT_EQ(CounterValue("jit_cache_hits_total"), 0u);
+  second.reset();
+  jit::KernelCache::Global().ResetForTest();
+  fs::remove_all(include_root, ec);
 }
 
 TEST_F(JitTest, CorruptCachedObjectIsDroppedAndRecompiled) {

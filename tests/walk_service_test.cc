@@ -221,6 +221,12 @@ TEST(FlexiWalkerService, FirstBatchMatchesOneShotEngine) {
   BatchResult served = service->Submit({starts}).get();
   EXPECT_EQ(engine_result.paths, served.walk.paths);
   EXPECT_EQ(engine_result.cost.rng_draws, served.walk.cost.rng_draws);
+  // Both tiers run the same worker factory, so the served batch reports the
+  // engine's eRJS/eRVS tally. Node2Vec is dynamic — every step is a
+  // selection — so the tallies are non-zero.
+  EXPECT_GT(engine_result.selection.chose_rjs + engine_result.selection.chose_rvs, 0u);
+  EXPECT_EQ(engine_result.selection.chose_rjs, served.walk.selection.chose_rjs);
+  EXPECT_EQ(engine_result.selection.chose_rvs, served.walk.selection.chose_rvs);
 }
 
 TEST(WalkService, PipelinedBatchesMatchSerialBatches) {
