@@ -11,8 +11,8 @@
 //   2. Coalescing pays — with many 1-query clients, a nonzero window merges
 //      requests into scheduler-sized batches (see the queries/batch
 //      column), lifting QPS over window=0 (coalescing disabled: one service
-//      batch per request) by amortizing everything per-batch: dispatcher +
-//      completer wakeups, pool job setup, result plumbing, and — via the
+//      batch per request) by amortizing everything per-batch: batch runner
+//      wakeups, pool job setup, result plumbing, and — via the
 //      server's corked writes — one response send() per connection per
 //      batch instead of per request. The effect scales with how cheap a
 //      query is relative to those fixed costs, so the load phase serves the
@@ -102,10 +102,7 @@ struct Stack {
     }
   }
 
-  ~Stack() {
-    server->Stop();
-    service->Shutdown();
-  }
+  ~Stack() { server->Stop(); }
 };
 
 // Claim 1: pipelined requests from one connection reassemble, by
@@ -294,8 +291,6 @@ SweepRow RunConnectionSweep(const Graph& graph, const WalkLogic& walk_a, const W
     std::exit(1);
   }
   server.Stop();
-  service_a->Shutdown();
-  service_b->Shutdown();
 
   // Per-workload parity: admission order is the sort by global id.
   auto check = [&](std::vector<std::vector<RequestRecord>>& per_conn, const WalkLogic& walk,
@@ -484,7 +479,6 @@ OverloadRun RunOverload(const Graph& graph, const WalkLogic& walk,
     }
   }
   server.Stop();
-  service->Shutdown();
   return run;
 }
 

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -89,7 +90,7 @@ struct CliOptions {
   size_t max_batch = 512;       // coalescer flush threshold (queries)
   size_t admit = 1 << 16;       // admission bound (queries, pending + in flight)
   std::string overflow = "block";  // block|reject when the bound is hit
-  unsigned pipeline = 2;        // WalkService in-flight batch depth
+  unsigned pipeline = 2;        // batch runner threads per served workload
   // Extra workloads to register on the server besides the primary --workload
   // (which is always workload id 0, name "default"). Comma-separated
   // name[:admit=N][:overflow=block|reject] entries; see docs/SERVING.md.
@@ -181,7 +182,7 @@ void PrintUsage() {
       "  --max-batch <n>          coalescer flush threshold, queries (default 512)\n"
       "  --admit    <n>           admission bound, queries pending+in-flight (default 65536)\n"
       "  --overflow <block|reject> backpressure when the bound is hit (default block)\n"
-      "  --pipeline <n>           in-flight batch depth on the WalkService (default 2)\n"
+      "  --pipeline <n>           batch runner threads per served workload (default 2)\n"
       "  --workloads <spec>       register extra workloads on the server besides the\n"
       "                           primary --workload (always id 0): comma-separated\n"
       "                           name[:admit=<n>][:overflow=<block|reject>] entries,\n"
@@ -216,8 +217,8 @@ void PrintUsage() {
       kExitUnsupportedEngine, kExitMalformedInput);
 }
 
-// Strict unsigned parse for the serving flags, where a wrapped negative
-// would mean a 71-minute coalesce window or 4 billion dispatcher threads
+// Strict unsigned parse for every integer flag, where a wrapped negative
+// would mean a 71-minute coalesce window or 4 billion batch runner threads
 // rather than a harmless default.
 bool ParseUnsignedFlag(const char* flag, const char* text, unsigned long long max_value,
                        unsigned long long& out) {
@@ -303,31 +304,46 @@ bool ParseArgs(int argc, char** argv, CliOptions& options) {
       if (value == nullptr) {
         return false;
       }
-      options.alpha = std::atof(value);
+      // The whole token, finite and positive: atof would turn "abc" into 0
+      // and "nan" into a NaN weight exponent.
+      char* end = nullptr;
+      double alpha = std::strtod(value, &end);
+      if (end == value || *end != '\0' || !std::isfinite(alpha) || alpha <= 0.0) {
+        std::fprintf(stderr, "bad value for --alpha: %s\n", value);
+        return false;
+      }
+      options.alpha = alpha;
     } else if (arg == "--length") {
       const char* value = needs_value("--length");
-      if (value == nullptr) {
+      unsigned long long length = 0;
+      // 2^32 - 2 keeps the path stride length + 1 inside uint32_t.
+      if (value == nullptr || !ParseUnsignedFlag("--length", value, 0xFFFFFFFEull, length)) {
         return false;
       }
-      options.length = static_cast<uint32_t>(std::atoi(value));
+      options.length = static_cast<uint32_t>(length);
     } else if (arg == "--queries") {
       const char* value = needs_value("--queries");
-      if (value == nullptr) {
+      unsigned long long queries = 0;
+      if (value == nullptr ||
+          !ParseUnsignedFlag("--queries", value, std::numeric_limits<size_t>::max(), queries)) {
         return false;
       }
-      options.queries = static_cast<size_t>(std::atoll(value));
+      options.queries = static_cast<size_t>(queries);
     } else if (arg == "--threads") {
       const char* value = needs_value("--threads");
-      if (value == nullptr) {
+      unsigned long long threads = 0;
+      if (value == nullptr || !ParseUnsignedFlag("--threads", value, kMaxHostWorkers, threads)) {
         return false;
       }
-      options.threads = static_cast<unsigned>(std::atoi(value));
+      options.threads = static_cast<unsigned>(threads);
     } else if (arg == "--seed") {
       const char* value = needs_value("--seed");
-      if (value == nullptr) {
+      unsigned long long seed = 0;
+      if (value == nullptr ||
+          !ParseUnsignedFlag("--seed", value, std::numeric_limits<uint64_t>::max(), seed)) {
         return false;
       }
-      options.seed = static_cast<uint64_t>(std::atoll(value));
+      options.seed = static_cast<uint64_t>(seed);
     } else if (arg == "--chunk") {
       const char* value = needs_value("--chunk");
       unsigned long long chunk = 0;
@@ -620,7 +636,6 @@ int Serve(const CliOptions& options, const Graph& graph, const WalkLogic& worklo
     if (!ParseStartsLine(line, batch.starts, bad_token)) {
       std::fprintf(stderr, "malformed input: token \"%s\" in line \"%s\"\n", bad_token.c_str(),
                    line.c_str());
-      service->Shutdown();
       return kExitMalformedInput;
     }
     // Well-formed but out-of-range ids drop the whole batch (walking a
@@ -650,7 +665,6 @@ int Serve(const CliOptions& options, const Graph& graph, const WalkLogic& worklo
   }
   uint64_t queries = service->queries_submitted();
   uint64_t batches = service->batches_completed();
-  service->Shutdown();
   std::printf("served %llu queries in %llu batches\n", static_cast<unsigned long long>(queries),
               static_cast<unsigned long long>(batches));
   if (out.is_open()) {
@@ -828,12 +842,6 @@ int Listen(const CliOptions& options, const Graph& graph, const WalkLogic& workl
                 spec.overflow.c_str());
   }
 
-  auto shutdown_services = [&] {
-    service->Shutdown();
-    for (auto& extra : extra_services) {
-      extra->Shutdown();
-    }
-  };
   // Final telemetry dumps, after serving stops: poke the sigwait thread
   // loose with one last SIGUSR1 (the stop flag tells it apart from a user
   // scrape), then write the end-of-run snapshot and the trace.
@@ -859,7 +867,6 @@ int Listen(const CliOptions& options, const Graph& graph, const WalkLogic& workl
   std::string error;
   if (!server.Start(&error)) {
     std::fprintf(stderr, "cannot start server: %s\n", error.c_str());
-    shutdown_services();
     finish_telemetry();
     return kExitUsage;
   }
@@ -923,7 +930,6 @@ int Listen(const CliOptions& options, const Graph& graph, const WalkLogic& workl
     queries += extra->queries_submitted();
     batches += extra->batches_completed();
   }
-  shutdown_services();
   std::printf("served %llu queries in %llu batches | %llu connections | %llu requests "
               "(%llu rejected, %llu malformed frames)\n",
               static_cast<unsigned long long>(queries), static_cast<unsigned long long>(batches),
@@ -944,9 +950,12 @@ int Client(const CliOptions& options) {
     host = options.connect.substr(0, colon);
     port_text = options.connect.substr(colon + 1);
   }
-  int port = std::atoi(port_text.c_str());
-  if (port <= 0 || port > 65535) {
-    std::fprintf(stderr, "bad --connect port: %s\n", options.connect.c_str());
+  unsigned long long port = 0;
+  if (!ParseUnsignedFlag("--connect", port_text.c_str(), 65535, port)) {
+    return kExitUsage;
+  }
+  if (port == 0) {
+    std::fprintf(stderr, "bad value for --connect: %s (port 0)\n", options.connect.c_str());
     return kExitUsage;
   }
   WalkClient::Options client_options;
@@ -957,7 +966,7 @@ int Client(const CliOptions& options) {
   WalkClient client(client_options);
   std::string error;
   if (!client.Connect(host, static_cast<uint16_t>(port), &error)) {
-    std::fprintf(stderr, "cannot connect to %s:%d: %s\n", host.c_str(), port, error.c_str());
+    std::fprintf(stderr, "cannot connect to %s:%llu: %s\n", host.c_str(), port, error.c_str());
     return kExitUsage;
   }
   // --stats: one scrape, print the Prometheus text verbatim, done. Scripts

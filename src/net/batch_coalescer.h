@@ -2,18 +2,23 @@
 //
 // Network clients send small requests (often a single start node); the
 // WalkService is happiest with scheduler-sized batches. The BatchCoalescer
-// sits between them: TryEnqueue() admits a request into the pending window, a
-// flusher thread merges everything pending into one WalkBatch when the
-// window fills (max_batch_queries) or its deadline expires (max_delay_ms
-// after the first pending arrival), and a completer thread carves each
-// finished batch back into per-request results, invoking the request
-// callbacks with their own path rows and service-global first query id.
+// sits between them: TryEnqueue() admits a request into the pending window,
+// and batch runners — one thread per service pipeline slot
+// (WalkService::pipeline_depth()) — turn windows into batches. The runner
+// holding the open window takes it when it fills (max_batch_queries) or its
+// deadline expires (max_delay_ms after the first pending arrival), claims
+// the batch's global query ids, walks it on its own thread through
+// WalkService::RunClaimed, then carves the rows back into per-request
+// results and invokes the request callbacks with their own path rows and
+// service-global first query id. One runner holds the window at a time;
+// the others are walking earlier batches or waiting for the next window.
 //
 // Ordering and determinism: requests join the merged batch in admission
-// order, and only the flusher submits to the service, so the mapping from
-// arrival order to global query ids is exactly the mapping a client would
-// get submitting the same requests directly — coalescing (any window, any
-// flush carving) cannot change a single path (docs/SERVING.md).
+// order, and a runner claims its batch's ids under the same lock that takes
+// the window, so the mapping from arrival order to global query ids is
+// exactly the mapping a client would get submitting the same requests
+// directly — for any number of runners, coalescing (any window, any flush
+// carving) cannot change a single path (docs/SERVING.md).
 //
 // Backpressure: admission is bounded by max_outstanding_queries, counting
 // pending *and* in-flight queries — the window cannot hide a service that
@@ -30,9 +35,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <functional>
-#include <future>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -57,8 +60,8 @@ class BatchCoalescer {
     // Flush as soon as this many queries are pending, regardless of the
     // window. Sized to keep one batch within a few scheduler quanta.
     size_t max_batch_queries = 512;
-    // Coalesce window: how long after the first pending arrival the flusher
-    // waits for more requests before flushing. <= 0 disables coalescing
+    // Coalesce window: how long after the first pending arrival the runner
+    // holding it waits for more requests before flushing. <= 0 disables coalescing
     // entirely — every admitted request becomes its own service batch, in
     // admission order (the baseline bench_net_serving compares against).
     double max_delay_ms = 0.2;
@@ -84,8 +87,8 @@ class BatchCoalescer {
   };
 
   // Where an admitted request's path rows should be written. A request's
-  // PlaceFn (optional TryEnqueue argument) is called once, on the flusher
-  // thread, just before its batch is submitted: return `rows` pointing at
+  // PlaceFn (optional TryEnqueue argument) is called once, on the runner
+  // thread, just before its batch is walked: return `rows` pointing at
   // caller-owned storage of num_queries * path_stride NodeIds — contiguous,
   // sizeof(NodeId)-aligned, prefilled with kInvalidNode — and the
   // scheduler's workers write the request's rows straight there instead of
@@ -118,17 +121,17 @@ class BatchCoalescer {
     std::shared_ptr<const void> keepalive;  // keeps `paths` alive
   };
 
-  // Invoked exactly once per admitted request, from the completer thread.
-  // Must not call back into TryEnqueue/Shutdown (it may, however, write to
-  // sockets — the server's response path).
+  // Invoked exactly once per admitted request, from the runner thread that
+  // walked its batch. Must not call back into TryEnqueue/Shutdown (it may,
+  // however, write to sockets — the server's response path).
   using DoneFn = std::function<void(RequestResult)>;
 
   // Invoked — instead of DoneFn, never both — when the coalescer sheds an
   // admitted request whose deadline lapsed: at flush (dropped from the
   // batch before it is built) or mid-run (the whole batch was cancelled
   // because every member's deadline passed). Runs off the coalescer lock on
-  // the flusher or completer thread; same reentrancy rules as DoneFn. The
-  // server's callback answers the client kDeadlineExceeded.
+  // a runner thread; same reentrancy rules as DoneFn. The server's callback
+  // answers the client kDeadlineExceeded.
   using ExpireFn = std::function<void()>;
 
   // A request's deadline, given at TryEnqueue. `at_us` is absolute
@@ -140,18 +143,16 @@ class BatchCoalescer {
     ExpireFn expired;
   };
 
-  // Optional, runs on the completer thread after every callback of one
-  // batch has run. The WalkServer uses it to flush per-connection corked
+  // Optional, runs on the runner thread after every callback of one batch
+  // has run. The WalkServer uses it to flush per-connection corked
   // response writes — a coalesced batch completing N requests on one
   // connection then costs one send() instead of N. It also frees admission
   // space, so the server unparks connections here. Set before the first
   // TryEnqueue.
   void SetBatchCompleteHook(std::function<void()> hook) { on_batch_complete_ = std::move(hook); }
 
-  // The service must outlive the coalescer and must not be Shutdown()
-  // until BatchCoalescer::Shutdown() has returned — in-flight batches
-  // complete through it. (A violated order fails the affected requests'
-  // callbacks with a stderr note rather than crashing.)
+  // Starts service.pipeline_depth() runner threads. The service must
+  // outlive the coalescer — in-flight batches walk through it.
   BatchCoalescer(WalkService& service, Options options);
   ~BatchCoalescer();  // Shutdown()
 
@@ -170,8 +171,8 @@ class BatchCoalescer {
   // batches. `deadline` optionally bounds the request's life: a member whose
   // deadline passes before its batch is built is dropped at flush (ExpireFn,
   // not DoneFn), and a flushed batch whose *every* member carries a deadline
-  // is cancelled cooperatively once the last of them lapses
-  // (SchedulerOptions::cancel through WalkService::SubmitInto).
+  // is cancelled mid-run once the last of them lapses
+  // (SchedulerOptions::cancel_at_us through WalkService::RunClaimed).
   //
   // The arguments are lvalue references so a parked retry is free: they are
   // moved from only on kAdmitted and left untouched otherwise — the caller
@@ -194,7 +195,7 @@ class BatchCoalescer {
   size_t outstanding_queries() const;
 
   // Stops admitting, flushes the pending window, waits for every in-flight
-  // batch to complete and every callback to run, then joins both threads.
+  // batch to complete and every callback to run, then joins the runners.
   // Idempotent.
   void Shutdown();
 
@@ -210,53 +211,25 @@ class BatchCoalescer {
     PlaceFn place;  // may be empty: rows fall back to the batch arena
     Deadline deadline;  // at_us == 0: no deadline
   };
-  struct InFlightBatch {
-    std::future<BatchResult> future;
-    uint64_t submit_us = 0;  // obs::NowMicros at SubmitInto — the "schedule" span start
-    // Cooperative cancellation, armed at flush only when every member
-    // carries a deadline (a deadline-free member still wants its rows):
-    // the completer waits on the future until `max_deadline_us` — the last
-    // member's deadline — then sets the token; the per-batch scheduler
-    // abandons the run at its next pass boundary and every member is
-    // answered through its ExpireFn. Null when any member is deadline-free.
-    std::shared_ptr<std::atomic<bool>> cancel;
-    uint64_t max_deadline_us = 0;
-    std::vector<PendingRequest> requests;  // starts kept for slice offsets
-    // The batch's fallback path storage for requests without a Placement:
-    // the scheduler's workers write their rows directly into it
-    // (WalkService::SubmitInto) and completion hands each such request a
-    // slice of it. Shared so straggling RequestResult holders keep it alive
-    // after the batch retires. Null when every request placed its own rows.
-    std::shared_ptr<PathArena> arena;
-    // Per-request placements, parallel to `requests` (rows == nullptr for
-    // fallback requests), and the scattered row-pointer table the submitted
-    // PathArenaView references — both must outlive batch execution. Empty
-    // when no request placed (the batch submits the arena contiguously, the
-    // pre-scatter fast path).
-    std::vector<Placement> placements;
-    std::vector<NodeId*> row_ptrs;
-  };
 
-  void FlushLoop();
-  void CompleteLoop();
-  // Called by the flusher with `lock` (on mutex_) held; moves the first
-  // `request_count` pending requests into one in-flight batch and submits
-  // it to the service. Drops the lock around the batch build + arena
-  // allocation + Submit (so big flushes don't stall admission) and retakes
-  // it before queueing the in-flight entry; single-flusher ordering keeps
-  // the arrival-order -> global-id mapping intact. `reason` labels the
-  // flush in the registry: "size", "deadline", "sparse", "single", or
-  // "shutdown".
-  void FlushWithLock(std::unique_lock<std::mutex>& lock, size_t request_count,
-                     const char* reason);
+  // One runner's life: wait for the window, hold it until it flushes,
+  // take it, then walk and complete the batch — until shutdown leaves
+  // nothing pending.
+  void RunLoop();
+  // Walks one taken window's survivors under their claimed ids and
+  // completes them (DoneFn, or ExpireFn when the run outlived every
+  // member's deadline); then releases their admission slots and fires the
+  // batch-complete hook. Runs without mutex_.
+  void RunBatch(std::vector<PendingRequest>& requests, WalkService::QueryIds ids, size_t queries);
 
   WalkService& service_;
   Options options_;
   std::function<void()> on_batch_complete_;  // may be empty
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_flush_;       // flusher waits for work/deadline
-  std::condition_variable cv_complete_;    // completer waits for in-flight batches
+  std::condition_variable cv_idle_;    // runners wait for a window nobody holds
+  std::condition_variable cv_window_;  // the holder waits for its window to fill
+  bool window_held_ = false;           // a runner holds the pending window
   std::vector<PendingRequest> pending_;
   size_t pending_queries_ = 0;
   size_t inflight_queries_ = 0;
@@ -270,9 +243,7 @@ class BatchCoalescer {
   // idle-forever, so the first request is never window-delayed.
   double ewma_gap_ms_ = std::numeric_limits<double>::infinity();
   bool window_sparse_ = false;
-  std::deque<InFlightBatch> inflight_;
   bool shutdown_ = false;
-  bool flusher_done_ = false;
 
   std::atomic<uint64_t> requests_admitted_{0};
   std::atomic<uint64_t> requests_rejected_{0};
@@ -289,13 +260,12 @@ class BatchCoalescer {
   // Deadline shedding series (global — the stage label is the split that
   // matters; workload attribution rides on the per-workload reject/admit
   // series): requests shed at flush, requests shed mid-run, and batches
-  // cancelled cooperatively.
+  // cancelled mid-run.
   obs::Counter* m_expired_flush_ = nullptr;
   obs::Counter* m_expired_run_ = nullptr;
   obs::Counter* m_batches_cancelled_ = nullptr;
 
-  std::thread flusher_;
-  std::thread completer_;
+  std::vector<std::thread> runners_;  // one per service pipeline slot
 };
 
 }  // namespace flexi

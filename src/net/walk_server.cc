@@ -77,7 +77,6 @@ uint32_t WalkServer::RegisterWorkload(std::string name, WalkService& service,
                                       BatchCoalescer::Options coalescer_options) {
   auto workload = std::make_unique<Workload>();
   workload->name = std::move(name);
-  workload->service = &service;
   coalescer_options.metrics_label = workload->name;
   workload->coalescer = std::make_unique<BatchCoalescer>(service, coalescer_options);
   auto& registry = obs::MetricsRegistry::Global();
@@ -94,10 +93,10 @@ uint32_t WalkServer::RegisterWorkload(std::string name, WalkService& service,
       &registry.GetHistogram(obs::WithLabel("flexi_server_request_latency_us", "workload",
                                             workload->name));
   uint32_t id = static_cast<uint32_t>(workloads_.size());
-  // The hook runs on this workload's completer thread after each batch's
-  // callbacks: push the corked responses out, then wake any connection
-  // parked on this workload's quota — the completed batch is exactly what
-  // freed admission space.
+  // The hook runs on the runner thread that walked each batch, after the
+  // batch's callbacks: push the corked responses out, then wake any
+  // connection parked on this workload's quota — the completed batch is
+  // exactly what freed admission space.
   workload->coalescer->SetBatchCompleteHook([this, id] {
     FlushCorkedWrites();
     std::vector<std::shared_ptr<Connection>> parked;
@@ -278,8 +277,9 @@ WalkServer::HandleStatus WalkServer::HandleRequest(EventLoop& loop,
       return {rows, response_frame};
     };
   }
-  // Runs on the workload's completer thread; `conn` is kept alive by the
-  // capture even after the connection leaves every server-side list.
+  // Runs on the coalescer runner thread that walked the batch; `conn` is
+  // kept alive by the capture even after the connection leaves every
+  // server-side list.
   uint32_t workload_id = request.workload_id;
   Workload* workload_ptr = &workload;
   admission.done = [this, conn, tag, response_frame, decode_us, workload_id,
@@ -312,7 +312,7 @@ WalkServer::HandleStatus WalkServer::HandleRequest(EventLoop& loop,
   };
   // The admitted request's deadline, if it carries one: the coalescer sheds
   // it at flush or cancels its batch mid-run once every member lapsed, and
-  // answers through this ExpireFn — which runs on the flusher/completer
+  // answers through this ExpireFn — which runs on a coalescer runner
   // thread, so it corks (never sends inline) and settles the same
   // pending_requests slot DoneFn would have.
   if (deadline_at_us != 0) {
@@ -977,7 +977,7 @@ void WalkServer::FlushCorkedWrites() {
     dirty.swap(corked_connections_);
   }
   // Nonblocking drain: a partial send leaves the remainder corked with
-  // EPOLLOUT armed, so a slow client stalls only itself — this completer
+  // EPOLLOUT armed, so a slow client stalls only itself — this runner
   // thread moves straight on to the next connection.
   for (const auto& conn : dirty) {
     SendResult result;

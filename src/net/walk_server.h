@@ -99,8 +99,7 @@ class WalkServer {
   };
 
   // `num_nodes` bounds valid start ids; every registered service must
-  // outlive the server and must not be Shutdown() before WalkServer::Stop()
-  // returns. The constructor's service serves workload 0.
+  // outlive the server. The constructor's service serves workload 0.
   WalkServer(WalkService& service, NodeId num_nodes, Options options);
   ~WalkServer();  // Stop()
 
@@ -187,7 +186,7 @@ class WalkServer {
     int fd = -1;
 
     // Write side, shared between the owning event thread and the
-    // coalescers' completer threads — everything below write_mutex is
+    // coalescers' batch runner threads — everything below write_mutex is
     // guarded by it.
     std::mutex write_mutex;
     bool writable = true;
@@ -221,11 +220,10 @@ class WalkServer {
     ~Connection();
   };
 
-  // One registered workload: a service, its private coalescer (= its
+  // One registered workload: its private coalescer over its service (= its
   // admission quota), and the connections parked on that quota.
   struct Workload {
     std::string name;
-    WalkService* service = nullptr;
     std::unique_ptr<BatchCoalescer> coalescer;
     std::mutex parked_mutex;
     std::vector<std::shared_ptr<Connection>> parked;
@@ -325,7 +323,7 @@ class WalkServer {
   // read again — the caller should tear it down.
   static bool ShouldRetireLocked(const Connection& conn);
 
-  // ---- response path (completer threads) ----
+  // ---- response path (coalescer runner threads) ----
   // Queues one frame on the connection from any thread — the coalescer's
   // DoneFn and ExpireFn callbacks — and marks the connection dirty; the
   // batch-complete hook's FlushCorkedWrites sends it. Contrast

@@ -97,7 +97,7 @@ WalkResult WalkScheduler::RunWithWorkersInto(const Graph& graph, const WalkLogic
                                              PathArenaView out) const {
   uint32_t length = logic.walk_length();
   // Contract (see header): the caller's arena rows/stride must fit this
-  // run. WalkService::SubmitInto validates user-facing submissions; this
+  // run. WalkService::RunClaimed validates caller-supplied arenas; this
   // assert catches direct scheduler misuse before any out-of-arena write.
   assert(starts.empty() || (out.stride == length + 1 && out.rows >= starts.size()));
   WalkResult result;
@@ -136,14 +136,14 @@ WalkResult WalkScheduler::RunWithWorkersInto(const Graph& graph, const WalkLogic
     kernels[w] = make_step(w, device);
     const StepKernel step = kernels[w].step;
 
-    // Cooperative cancellation check, evaluated at pass/claim boundaries
-    // only (see SchedulerOptions::cancel) — one relaxed load when armed,
+    // Cancellation check, evaluated at pass/claim boundaries only (see
+    // SchedulerOptions::cancel_at_us) — one clock read when armed,
     // constant-false when not. Never consulted mid-walk between draws, so a
-    // query either runs its steps exactly as an uncancelled run would or is
+    // query either runs its steps exactly as an unarmed run would or is
     // never launched.
-    const std::atomic<bool>* cancel = options_.cancel;
-    auto cancelled = [cancel] {
-      return cancel != nullptr && cancel->load(std::memory_order_relaxed);
+    const uint64_t cancel_at_us = options_.cancel_at_us;
+    auto cancelled = [cancel_at_us] {
+      return cancel_at_us != 0 && obs::NowMicros() >= cancel_at_us;
     };
 
     // Worker-local telemetry, folded into the registry exactly once per
@@ -241,8 +241,8 @@ WalkResult WalkScheduler::RunWithWorkersInto(const Graph& graph, const WalkLogic
     while (active > 0) {
       if (cancelled()) {
         // Abandon mid-flight walks where they stand: their rows are never
-        // delivered (the caller set the token because every requester gave
-        // up), and no other query's draws depend on theirs.
+        // delivered (the deadline is the last requester's), and no other
+        // query's draws depend on theirs.
         break;
       }
       ++local.passes;

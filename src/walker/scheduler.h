@@ -7,8 +7,8 @@
 // owns a private DeviceContext so kernel accounting is contention-free, and
 // the per-worker CostCounters are merged deterministically (worker-index
 // order) at drain time. A Run spawns no threads — it borrows parked pool
-// workers — so repeated small batches (the WalkService serving loop) cost
-// only the walks themselves.
+// workers and the calling thread — so repeated small batches (the serving
+// stack's batch runners) cost only the walks themselves.
 //
 // The worker inner loop executes *wavefronts*: each worker advances a batch
 // of W in-flight walks one step per pass, staging the next access's CSR
@@ -29,7 +29,6 @@
 #ifndef FLEXIWALKER_SRC_WALKER_SCHEDULER_H_
 #define FLEXIWALKER_SRC_WALKER_SCHEDULER_H_
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <functional>
@@ -160,16 +159,18 @@ struct SchedulerOptions {
   // Read-only per-run data shared by all workers' WalkContexts.
   const PreprocessedData* preprocessed = nullptr;
   const Int8WeightStore* int8_weights = nullptr;
-  // Cooperative cancellation: when non-null and set, workers stop claiming
-  // and advancing walks at the next pass boundary — once per wavefront pass
-  // in batched mode, per claimed walk at width 1 — so a batch whose every
-  // requester gave up stops burning CPU mid-run. Cancellation truncates
-  // *delivery* only, never randomness: every query still draws from its own
-  // Philox subsequence in per-query order, so any query that does complete
-  // (and every query of a non-cancelled run) is bit-identical to an
-  // uncancelled execution. The serving stack points this at the flushed
-  // batch's deadline token (batch_coalescer.h); one-shot Runs leave it null.
-  const std::atomic<bool>* cancel = nullptr;
+  // Mid-run cancellation deadline on the obs::NowMicros() timebase; 0 =
+  // never. When set, workers stop claiming and advancing walks at the first
+  // pass boundary at or past it — once per wavefront pass in batched mode,
+  // per claimed walk at width 1 — so a batch whose every requester gave up
+  // stops burning CPU mid-run. Cancellation truncates *delivery* only,
+  // never randomness: every query still draws from its own Philox
+  // subsequence in per-query order, so any query that does complete (and
+  // every query of a run that finishes first) is bit-identical to an
+  // unarmed execution. The serving stack sets it to the last member's
+  // deadline of a batch whose every member carries one
+  // (batch_coalescer.h); one-shot Runs leave it 0.
+  uint64_t cancel_at_us = 0;
 };
 
 class WalkScheduler {

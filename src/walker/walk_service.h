@@ -1,29 +1,27 @@
-// Streaming front-end over the WalkScheduler: accept walk-query batches
-// continuously instead of one-shot Run() calls (the ROADMAP serving item).
+// Streaming front-end over the WalkScheduler: walk batch after batch
+// instead of one-shot Run() calls (the ROADMAP serving item).
 //
-// Submit(batch) assigns the batch a contiguous range of *global* query ids
-// from a monotonic cursor, enqueues it, and returns a future; dispatcher
-// threads (one per pipeline slot, Options::pipeline_depth) claim batches in
-// submission order and run each through the shared QueryQueue /
-// DeviceContext machinery on the persistent WorkerPool, so up to
-// pipeline_depth batches overlap. Because every query's randomness is a
-// Philox subsequence
-// keyed by its global id — PhiloxStream(seed, query_id) — results are
-// bit-identical regardless of batch interleaving, pipelining depth, or
-// worker count: submitting A and B back-to-back without waiting yields the
-// same paths as submitting A, waiting, then submitting B. The full
-// determinism contract, batch format, and CLI usage live in
-// docs/SERVING.md; walk_service_test.cc enforces the contract.
+// ClaimQueryIds(n) hands out the next n *global* query ids from a monotonic
+// cursor, and RunClaimed walks a batch under ids it claimed on the calling
+// thread, which joins the persistent WorkerPool as one of the batch's
+// workers. The service owns no threads: the network server's
+// BatchCoalescer runs up to pipeline_depth batches at once from its own
+// runner threads, and Submit is claim-and-run in one call for in-process
+// users. Because every query's randomness is a Philox subsequence keyed by
+// its global id — PhiloxStream(seed, query_id) — results are bit-identical
+// regardless of which thread runs a batch, how many run at once, or the
+// worker count: claiming A and B and running them concurrently yields the
+// same paths as running A, then B. The full determinism contract, batch
+// format, and CLI usage live in docs/SERVING.md; walk_service_test.cc
+// enforces the contract.
 #ifndef FLEXIWALKER_SRC_WALKER_WALK_SERVICE_H_
 #define FLEXIWALKER_SRC_WALKER_WALK_SERVICE_H_
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <thread>
+#include <span>
 
 #include "src/walker/flexiwalker_engine.h"
 #include "src/walker/scheduler.h"
@@ -43,7 +41,7 @@ struct BatchResult {
   // first_query_id + walk.num_queries). Replaying query q standalone —
   // PhiloxStream(seed, first_query_id + q) — reproduces its path exactly.
   uint64_t first_query_id = 0;
-  uint64_t batch_index = 0;  // submission order, 0-based
+  uint64_t batch_index = 0;  // claim order, 0-based
 };
 
 class WalkService {
@@ -51,13 +49,19 @@ class WalkService {
   struct Options {
     SchedulerOptions scheduler;
     uint64_t seed = 0;
-    // In-flight batch depth: how many accepted batches may execute on the
-    // WorkerPool at once. 1 keeps the original FIFO one-at-a-time dispatch;
-    // deeper pipelines let small batches (e.g. the network front-end's
-    // coalesced flushes) overlap instead of queueing behind each other.
-    // Paths are unaffected — global ids are assigned at Submit, so
+    // Batches that may walk on the WorkerPool at once: the BatchCoalescer
+    // serving this service runs one batch runner thread per slot, so small
+    // coalesced batches overlap instead of queueing behind each other.
+    // Paths are unaffected — global ids are fixed at claim time, so
     // pipelining moves execution, never randomness (docs/SERVING.md).
     unsigned pipeline_depth = 1;
+  };
+
+  // A contiguous run of global query ids: the claimed batch occupies
+  // [first, first + count) and was the batch_index-th claim.
+  struct QueryIds {
+    uint64_t first = 0;
+    uint64_t batch_index = 0;
   };
 
   // `make_step` builds each scheduler worker's kernel, exactly as in
@@ -72,64 +76,51 @@ class WalkService {
   // Convenience: one step kernel shared by all workers.
   WalkService(const Graph& graph, const WalkLogic& logic, Options options, StepKernel step);
 
-  ~WalkService();  // Shutdown()
-
   WalkService(const WalkService&) = delete;
   WalkService& operator=(const WalkService&) = delete;
 
-  // Enqueues the batch and returns immediately. Batches start in submission
-  // order; up to `pipeline_depth` of them execute concurrently, each fanning
-  // out over the worker pool. After Shutdown the returned future holds a
-  // std::runtime_error.
-  std::future<BatchResult> Submit(WalkBatch batch);
+  // Claims the next `count` global query ids. Claim order fixes every
+  // query's Philox subsequence, so a caller that needs arrival order to
+  // decide ids (the BatchCoalescer) claims under its own ordering lock.
+  QueryIds ClaimQueryIds(size_t count);
 
-  // As Submit, but the batch's path rows are written straight into `out` —
-  // caller-owned arena storage with stride == path_stride() and at least
-  // batch.starts.size() rows, valid until the returned future resolves. The
-  // completed BatchResult's walk.paths is empty; the caller reads rows from
-  // its arena. This is the zero-copy serving path: the BatchCoalescer
-  // allocates one PathArena per flushed batch and hands per-request slices
-  // of it to the response writer.
+  // Walks `starts` under ids claimed by ClaimQueryIds(starts.size()), on the
+  // calling thread. With an empty `out` the rows land in the result's
+  // walk.paths. Otherwise they are written straight into `out` — caller-owned
+  // arena storage with stride == path_stride() and at least starts.size()
+  // rows — and walk.paths stays empty: the zero-copy serving path, where
+  // the BatchCoalescer's rows go into response frames or a per-batch
+  // PathArena. A mismatched arena throws std::invalid_argument before any
+  // walk starts.
   //
-  // `cancel` optionally arms cooperative cancellation for this batch: the
-  // per-batch scheduler polls it at pass boundaries and abandons the run
-  // when it reads true (SchedulerOptions::cancel). The token must outlive
-  // the returned future; the future still resolves (with whatever rows the
-  // walk wrote before stopping — the caller set the token because nobody
-  // wants them). Global query ids are consumed at Submit either way, so a
-  // cancelled batch never shifts a later batch's Philox subsequences.
-  std::future<BatchResult> SubmitInto(WalkBatch batch, PathArenaView out,
-                                      std::shared_ptr<const std::atomic<bool>> cancel = nullptr);
+  // `cancel_at_us` (obs::NowMicros() timebase; 0 = never) arms mid-run
+  // cancellation: the scheduler stops claiming and advancing walks at the
+  // first pass boundary at or past it (SchedulerOptions::cancel_at_us), and
+  // the rows of abandoned walks are left incomplete. The ids stay consumed
+  // either way, so a cancelled batch never shifts a later batch's Philox
+  // subsequences.
+  BatchResult RunClaimed(QueryIds ids, std::span<const NodeId> starts, PathArenaView out = {},
+                         uint64_t cancel_at_us = 0);
 
-  // Stops accepting new batches, drains everything already queued, and joins
-  // the dispatchers. Idempotent; the destructor calls it.
-  void Shutdown();
+  // ClaimQueryIds + RunClaimed on the calling thread. The returned future
+  // is already ready; it stays a future for in-process callers that fan
+  // several batches out before reading any.
+  std::future<BatchResult> Submit(WalkBatch batch);
 
   // Worker threads each batch fans out over (resolved at construction).
   unsigned num_threads() const { return num_threads_; }
 
   // Nodes per path row every served batch produces (walk length + 1) — the
-  // row pitch a caller sizing a SubmitInto arena must use.
+  // row pitch a caller sizing a RunClaimed arena must use.
   uint32_t path_stride() const { return logic_.walk_length() + 1; }
 
-  // In-flight batch depth resolved at construction (>= 1).
+  // Pipeline depth resolved at construction (>= 1).
   unsigned pipeline_depth() const { return pipeline_depth_; }
 
   uint64_t queries_submitted() const;
   uint64_t batches_completed() const { return batches_completed_.load(); }
 
  private:
-  struct Pending {
-    WalkBatch batch;
-    PathArenaView out;  // empty => the batch allocates its own walk.paths
-    std::shared_ptr<const std::atomic<bool>> cancel;  // null => not cancellable
-    uint64_t first_query_id = 0;
-    uint64_t batch_index = 0;
-    std::promise<BatchResult> promise;
-  };
-
-  void ServeLoop();
-
   const Graph& graph_;
   const WalkLogic& logic_;
   Options options_;
@@ -138,15 +129,10 @@ class WalkService {
   unsigned num_threads_;
   unsigned pipeline_depth_ = 1;  // resolved (clamped) at construction
 
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<Pending> queue_;
-  bool shutdown_ = false;
-  uint64_t next_query_id_ = 0;   // guarded by mutex_: the global id cursor
+  mutable std::mutex claim_mutex_;
+  uint64_t next_query_id_ = 0;  // guarded by claim_mutex_: the global id cursor
   uint64_t next_batch_index_ = 0;
   std::atomic<uint64_t> batches_completed_{0};
-
-  std::vector<std::thread> dispatchers_;  // one per pipeline slot
 };
 
 // Builds a serving FlexiWalker: runs PrepareFlexiWalker once — helper

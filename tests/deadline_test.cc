@@ -90,10 +90,7 @@ struct DeadlineStack {
     EXPECT_TRUE(server->Start(&error)) << error;
   }
 
-  ~DeadlineStack() {
-    server->Stop();
-    service->Shutdown();
-  }
+  ~DeadlineStack() { server->Stop(); }
 };
 
 void ExpectOutstandingDrains(const BatchCoalescer& coalescer,
@@ -173,7 +170,7 @@ TEST(DeadlineShedding, LapsedAtFlushIsShedAndSurvivorsStayBitIdentical) {
   ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()));
 
   // Both requests land in the same pending window; the first's 30 ms budget
-  // lapses long before the 150 ms flush, so the flusher drops it — and
+  // lapses long before the 150 ms flush, so the runner drops it — and
   // because a flush-shed member never consumed global query ids, the
   // survivor's rows must equal a one-shot engine run over the survivor's
   // starts alone.
@@ -242,25 +239,41 @@ TEST(DeadlineShedding, AllDeadlinedBatchIsCancelledMidRun) {
 // ----------------------------------------------------- cancellation parity --
 
 TEST(Cancellation, CancelledBatchLeavesLaterBatchesBitIdentical) {
-  // Global query ids are consumed at Submit; cancellation truncates
-  // delivery only. A service that cancelled its first batch must produce a
-  // second batch bit-identical to a service that ran the first to the end.
+  // Global query ids are consumed at claim; cancellation truncates
+  // delivery only. A service that cancelled its first batch must produce
+  // later batches bit-identical to a service that ran the first to the
+  // end — and an armed deadline that never fires must not change a draw.
   Graph graph = TestGraph();
   Node2VecWalk walk(2.0, 0.5, 10);
   WalkService reference(graph, walk, ItsOptions(42), ItsStep());
   BatchResult ref_first = reference.Submit({Range(0, 64)}).get();
   BatchResult ref_second = reference.Submit({Range(64, 128)}).get();
+  BatchResult ref_third = reference.Submit({Range(128, 192)}).get();
+
+  // NowMicros() reads 0 on its first call in a process, and a 0 deadline
+  // means "never": start the clock and let it tick before taking a
+  // deadline that has already passed when the run begins.
+  obs::NowMicros();
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  uint64_t past_us = obs::NowMicros();
+  ASSERT_GT(past_us, 0u);
 
   WalkService cancelled_service(graph, walk, ItsOptions(42), ItsStep());
-  auto cancel = std::make_shared<std::atomic<bool>>(true);  // cancelled before it starts
   PathArena arena(64, cancelled_service.path_stride());
-  BatchResult first = cancelled_service.SubmitInto({Range(0, 64)}, arena.view(), cancel).get();
+  std::vector<NodeId> first_starts = Range(0, 64);
+  BatchResult first = cancelled_service.RunClaimed(cancelled_service.ClaimQueryIds(64),
+                                                   first_starts, arena.view(), past_us);
   EXPECT_EQ(first.first_query_id, ref_first.first_query_id);
   BatchResult second = cancelled_service.Submit({Range(64, 128)}).get();
   EXPECT_EQ(second.first_query_id, ref_second.first_query_id);
   EXPECT_EQ(second.walk.paths, ref_second.walk.paths);
-  cancelled_service.Shutdown();
-  reference.Shutdown();
+
+  std::vector<NodeId> third_starts = Range(128, 192);
+  uint64_t far_future_us = obs::NowMicros() + 3'600'000'000ull;
+  BatchResult third = cancelled_service.RunClaimed(cancelled_service.ClaimQueryIds(64),
+                                                   third_starts, {}, far_future_us);
+  EXPECT_EQ(third.first_query_id, ref_third.first_query_id);
+  EXPECT_EQ(third.walk.paths, ref_third.walk.paths);
 }
 
 // --------------------------------------------------------- client timeouts --

@@ -666,22 +666,21 @@ struct ServedStack {
     EXPECT_TRUE(ok) << error;
   }
 
-  ~ServedStack() {
-    server->Stop();
-    service->Shutdown();
-  }
+  ~ServedStack() { server->Stop(); }
 };
 
 // The acceptance-criterion test: one client pipelines many small requests;
 // the rows reassembled by first_query_id must equal a one-shot engine run
 // over the same starts in submission order — for no coalescing, a real
-// coalesce window, and pipelined batch execution alike.
+// coalesce window, and pipelined batch execution alike. With window 0 and
+// four runners, consecutive one-request windows race to run; only the id
+// claim under the window lock keeps the rows equal to the engine's.
 TEST(WalkServerEndToEnd, ServedPathsMatchOneShotEngineAcrossConfigs) {
   struct Config {
     double coalesce_ms;
     unsigned pipeline_depth;
   };
-  for (Config config : {Config{0.0, 1}, Config{5.0, 1}, Config{5.0, 4}}) {
+  for (Config config : {Config{0.0, 1}, Config{0.0, 4}, Config{5.0, 1}, Config{5.0, 4}}) {
     SCOPED_TRACE("coalesce_ms=" + std::to_string(config.coalesce_ms) +
                  " depth=" + std::to_string(config.pipeline_depth));
     ServedStack stack(config.coalesce_ms, config.pipeline_depth);
@@ -1298,7 +1297,6 @@ TEST(WalkServerFaults, ClientRetriesRideOutServerRestart) {
   // connects, and must ride the gap on reconnect + backoff alone.
   first_server->Stop();
   first_server.reset();
-  first_service->Shutdown();
   std::unique_ptr<WalkService> second_service;
   std::unique_ptr<WalkServer> second_server;
   std::thread restarter([&] {
@@ -1316,7 +1314,6 @@ TEST(WalkServerFaults, ClientRetriesRideOutServerRestart) {
   EXPECT_GE(client.retries_attempted(), 1u);
   client.Close();
   second_server->Stop();
-  second_service->Shutdown();
 }
 
 TEST(WalkServerFaults, DisconnectMidRequestFrameIsCleanlyDropped) {
@@ -1456,7 +1453,8 @@ TEST(WalkServerTrace, FlushSpanCoversTheSocketWrites) {
   {
     SendMsgOverrideGuard guard(&SlowSendMsg);
     EXPECT_EQ(client.Walk({3}).num_queries, 1u);
-    // Stop joins the completer threads, so every flush span is recorded.
+    // Stop joins the coalescer's runner threads, so every flush span is
+    // recorded.
     stack.server->Stop();
   }
   uint64_t longest_flush_us = 0;

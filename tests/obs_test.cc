@@ -347,7 +347,6 @@ TEST(ObsEndToEnd, ScrapedCountersMatchDrivenTraffic) {
 
   client.Close();
   server.Stop();
-  service->Shutdown();
 }
 
 TEST(ObsEndToEnd, AdmissionRejectionsAreCounted) {
@@ -392,7 +391,6 @@ TEST(ObsEndToEnd, AdmissionRejectionsAreCounted) {
 
   client.Close();
   server.Stop();
-  service->Shutdown();
 }
 
 }  // namespace

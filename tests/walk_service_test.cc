@@ -1,8 +1,8 @@
 // Tests for the streaming WalkService: global query-id assignment keeps
 // paths bit-identical whether batches are submitted concurrently (in
 // flight together) or strictly sequentially, batch results match one-shot
-// scheduler runs over the concatenated starts, the FlexiWalker serving
-// factory reproduces the one-shot engine, and shutdown drains cleanly.
+// scheduler runs over the concatenated starts, and the FlexiWalker serving
+// factory reproduces the one-shot engine.
 #include "src/walker/walk_service.h"
 
 #include <gtest/gtest.h>
@@ -130,7 +130,7 @@ TEST(WalkService, ServedPathsBitIdenticalAcrossWavefrontWidths) {
   }
 }
 
-TEST(WalkService, SubmitIntoWritesCallerArenaBitIdenticalToSubmit) {
+TEST(WalkService, RunClaimedWritesCallerArenaBitIdenticalToSubmit) {
   // The zero-copy serving path: rows land in a caller-owned PathArena and
   // walk.paths stays empty — but the bytes must equal a plain Submit of the
   // same starts, and interleaved arena/non-arena batches must share the
@@ -145,7 +145,9 @@ TEST(WalkService, SubmitIntoWritesCallerArenaBitIdenticalToSubmit) {
   WalkService arena_service(graph, walk, ItsOptions(42, 8), ItsStep());
   EXPECT_EQ(arena_service.path_stride(), walk.walk_length() + 1);
   PathArena arena_a(100, arena_service.path_stride());
-  BatchResult got_a = arena_service.SubmitInto({Range(0, 100)}, arena_a.view()).get();
+  std::vector<NodeId> starts_a = Range(0, 100);
+  BatchResult got_a =
+      arena_service.RunClaimed(arena_service.ClaimQueryIds(100), starts_a, arena_a.view());
   BatchResult got_b = arena_service.Submit({Range(100, 256)}).get();
 
   EXPECT_TRUE(got_a.walk.paths.empty());  // rows live in the arena
@@ -172,31 +174,6 @@ TEST(WalkService, QueryIdsAreContiguousAcrossBatches) {
   EXPECT_EQ(third.batch_index, 2u);
   EXPECT_EQ(service.queries_submitted(), 40u);
   EXPECT_EQ(service.batches_completed(), 3u);
-}
-
-TEST(WalkService, ShutdownDrainsQueuedBatches) {
-  Graph graph = TestGraph();
-  Node2VecWalk walk(2.0, 0.5, 8);
-  WalkService service(graph, walk, ItsOptions(3, 4), ItsStep());
-  std::vector<std::future<BatchResult>> futures;
-  for (int b = 0; b < 6; ++b) {
-    futures.push_back(service.Submit({Range(0, 64)}));
-  }
-  service.Shutdown();  // must complete everything already accepted
-  for (auto& future : futures) {
-    BatchResult result = future.get();
-    EXPECT_EQ(result.walk.num_queries, 64u);
-  }
-  EXPECT_EQ(service.batches_completed(), 6u);
-}
-
-TEST(WalkService, SubmitAfterShutdownFails) {
-  Graph graph = TestGraph();
-  Node2VecWalk walk(2.0, 0.5, 4);
-  WalkService service(graph, walk, ItsOptions(1), ItsStep());
-  service.Shutdown();
-  std::future<BatchResult> future = service.Submit({Range(0, 4)});
-  EXPECT_THROW(future.get(), std::runtime_error);
 }
 
 TEST(WalkService, EmptyBatchCompletes) {
@@ -464,8 +441,6 @@ TEST(MultiWorkloadServing, InterleavedWorkloadsMatchTheirOneShotEngines) {
 
   client.Close();
   server.Stop();
-  service_a->Shutdown();
-  service_b->Shutdown();
 }
 
 // Admission quotas are per-workload: a workload whose quota is exhausted
@@ -540,8 +515,6 @@ TEST(MultiWorkloadServing, QuotaExhaustedWorkloadDoesNotStarveTheOther) {
   WalkClient::Result parked_result = parked.get();
   EXPECT_EQ(parked_result.num_queries, 4u);
   client.Close();
-  service_a->Shutdown();
-  service_b->Shutdown();
 }
 
 }  // namespace
