@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 namespace flexi {
 namespace {
@@ -161,11 +162,19 @@ size_t PartitionToBlockFile(const Graph& graph, const std::string& path, size_t 
 BlockStore BlockStore::Open(const std::string& path, bool map) {
   BlockStore store;
   store.file_ = RandomAccessFile::Open(path, map);
+  const uint64_t file_size = store.file_.size();
+  auto corrupt = [&path](const std::string& what) {
+    return std::runtime_error("BlockStore: " + what + " in " + path);
+  };
 
+  constexpr uint64_t kHeaderEnd = sizeof(kBlockMagic) + sizeof(FileHeader);
+  if (file_size < kHeaderEnd) {
+    throw corrupt("header truncated at " + std::to_string(file_size) + " bytes");
+  }
   std::array<char, 8> magic{};
   store.file_.ReadAt(magic.data(), magic.size(), 0);
   if (magic != kBlockMagic) {
-    throw std::runtime_error("BlockStore: bad magic in " + path);
+    throw corrupt("bad magic");
   }
   FileHeader header;
   store.file_.ReadAt(&header, sizeof(header), sizeof(kBlockMagic));
@@ -177,38 +186,81 @@ BlockStore BlockStore::Open(const std::string& path, bool map) {
   store.weighted_ = (header.flags & kFlagWeighted) != 0;
   store.labeled_ = (header.flags & kFlagLabeled) != 0;
   store.temporal_ = (header.flags & kFlagTemporal) != 0;
+  const uint64_t per_edge = store.BytesPerEdge();
+  const NodeId n = store.num_nodes_;
 
-  uint64_t offset = sizeof(kBlockMagic) + sizeof(FileHeader);
-  store.row_ptr_.resize(static_cast<size_t>(store.num_nodes_) + 1);
-  store.file_.ReadAt(store.row_ptr_.data(), store.row_ptr_.size() * sizeof(EdgeId), offset);
-  offset += store.row_ptr_.size() * sizeof(EdgeId);
-  if (store.row_ptr_.back() != store.num_edges_) {
-    throw std::runtime_error("BlockStore: row_ptr does not close at num_edges");
+  // The header's counts against the file size, before anything is sized by
+  // them. The counts are 32-bit, so none of these sums can wrap.
+  const uint64_t row_ptr_end = kHeaderEnd + (uint64_t{n} + 1) * sizeof(EdgeId);
+  if (row_ptr_end > file_size) {
+    throw corrupt("num_nodes " + std::to_string(n) + " puts row_ptr past the end of the file");
+  }
+  const uint64_t index_end = row_ptr_end + uint64_t{header.num_blocks} * sizeof(DiskBlock);
+  if (index_end > file_size) {
+    throw corrupt("num_blocks " + std::to_string(header.num_blocks) +
+                  " puts the block index past the end of the file");
+  }
+  if (store.num_edges_ > (file_size - index_end) / per_edge) {
+    throw corrupt("num_edges " + std::to_string(store.num_edges_) +
+                  " exceeds the payload the file can hold");
   }
 
+  store.row_ptr_.resize(static_cast<size_t>(n) + 1);
+  store.file_.ReadAt(store.row_ptr_.data(), store.row_ptr_.size() * sizeof(EdgeId), kHeaderEnd);
+  if (store.row_ptr_[0] != 0) {
+    throw corrupt("row_ptr[0] is not 0");
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    if (store.row_ptr_[v + 1] < store.row_ptr_[v]) {
+      throw corrupt("row_ptr[" + std::to_string(v + 1) + "] decreases");
+    }
+  }
+  if (store.row_ptr_.back() != store.num_edges_) {
+    throw corrupt("row_ptr does not close at num_edges");
+  }
+
+  // The blocks tile [0, num_nodes) in order, each edge range is row_ptr's
+  // at the block's bounds, and each payload lies inside the file.
   store.blocks_.resize(header.num_blocks);
+  store.block_of_.resize(n);
+  NodeId covered = 0;
   for (uint32_t b = 0; b < header.num_blocks; ++b) {
     DiskBlock disk;
-    store.file_.ReadAt(&disk, sizeof(disk), offset);
-    offset += sizeof(disk);
-    BlockMeta& meta = store.blocks_[b];
-    meta.first_node = disk.first_node;
-    meta.node_count = disk.node_count;
-    meta.first_edge = disk.first_edge;
-    meta.edge_count = disk.edge_count;
-    meta.payload_offset = disk.payload_offset;
+    store.file_.ReadAt(&disk, sizeof(disk), row_ptr_end + uint64_t{b} * sizeof(DiskBlock));
+    auto bad_block = [&](const std::string& what) {
+      return corrupt("block[" + std::to_string(b) + "]." + what);
+    };
+    if (disk.first_node != covered) {
+      throw bad_block("first_node " + std::to_string(disk.first_node) +
+                      " does not follow the previous block's end " + std::to_string(covered));
+    }
+    if (disk.node_count > n - covered) {
+      throw bad_block("node_count " + std::to_string(disk.node_count) + " runs past num_nodes");
+    }
+    const NodeId end = covered + disk.node_count;
+    if (disk.first_edge != store.row_ptr_[covered]) {
+      throw bad_block("first_edge does not match row_ptr");
+    }
+    if (disk.edge_count != store.row_ptr_[end] - store.row_ptr_[covered]) {
+      throw bad_block("edge_count does not match row_ptr");
+    }
+    if (disk.payload_offset > file_size ||
+        disk.edge_count > (file_size - disk.payload_offset) / per_edge) {
+      throw bad_block("payload_offset puts the payload past the end of the file");
+    }
+    store.blocks_[b] = BlockMeta{disk.first_node, disk.node_count, disk.first_edge,
+                                 disk.edge_count, disk.payload_offset};
+    std::fill(store.block_of_.begin() + covered, store.block_of_.begin() + end, b);
+    covered = end;
+  }
+  if (covered != n) {
+    throw corrupt("blocks cover " + std::to_string(covered) + " of num_nodes " +
+                  std::to_string(n) + " nodes");
   }
   return store;
 }
 
 size_t BlockStore::BytesPerEdge() const { return EdgeBytes(weighted_, labeled_, temporal_); }
-
-uint32_t BlockStore::BlockOf(NodeId v) const {
-  // Last block whose first_node <= v; blocks cover [0, num_nodes) in order.
-  auto it = std::upper_bound(blocks_.begin(), blocks_.end(), v,
-                             [](NodeId node, const BlockMeta& b) { return node < b.first_node; });
-  return static_cast<uint32_t>(it - blocks_.begin()) - 1;
-}
 
 void BlockStore::ReadBlock(size_t b, BlockData& out) const {
   const BlockMeta& meta = blocks_[b];
@@ -217,6 +269,18 @@ void BlockStore::ReadBlock(size_t b, BlockData& out) const {
   out.adjacency.resize(edges);
   file_.ReadAt(out.adjacency.data(), edges * sizeof(NodeId), offset);
   offset += edges * sizeof(NodeId);
+  // Every id indexes the resident row_ptr and node -> block array on the
+  // step that follows it. A count, not a search: it vectorizes.
+  const NodeId n = num_nodes_;
+  size_t out_of_range = 0;
+  for (NodeId id : out.adjacency) {
+    out_of_range += id >= n ? 1 : 0;
+  }
+  if (out_of_range > 0) {
+    throw std::runtime_error("BlockStore: block " + std::to_string(b) + " holds " +
+                             std::to_string(out_of_range) +
+                             " adjacency ids not below num_nodes " + std::to_string(n));
+  }
   if (weighted_) {
     out.weights.resize(edges);
     file_.ReadAt(out.weights.data(), edges * sizeof(float), offset);

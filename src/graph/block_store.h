@@ -8,8 +8,8 @@
 //            global max degree
 //   row_ptr  the full (num_nodes + 1) global offset array — this stays
 //            resident in memory even out of core (8 bytes per node, the
-//            standard out-of-core compromise: degrees and block membership
-//            are always answerable without I/O)
+//            standard out-of-core compromise: degrees are always
+//            answerable without I/O)
 //   index    one BlockMeta per block: node range, edge range, payload offset
 //   payload  per block, tightly packed: adjacency NodeId[], then weights
 //            float[], labels uint8[], timestamps float[] when present
@@ -20,10 +20,15 @@
 // every node lives in exactly one block and blocks cover [0, num_nodes) in
 // order.
 //
-// BlockStore opens such a file, keeps the header + row_ptr + index resident,
-// and serves ReadBlock via positioned reads (RandomAccessFile — pread by
-// default, mmap-backed copies on request). It is read-only and safe to share
-// across threads.
+// BlockStore opens such a file, keeps the header + row_ptr + index resident
+// beside a node -> block array built from the index (4 bytes per node, so
+// block membership is one load), and serves ReadBlock via positioned reads
+// (RandomAccessFile — pread by default, mmap-backed copies on request). The
+// file is untrusted: Open checks every count, offset and range against the
+// file and each other before sizing anything by them, and ReadBlock checks
+// every adjacency id, so a corrupt or truncated file fails with a
+// std::runtime_error naming the field instead of indexing out of range. It
+// is read-only and safe to share across threads.
 #ifndef FLEXIWALKER_SRC_GRAPH_BLOCK_STORE_H_
 #define FLEXIWALKER_SRC_GRAPH_BLOCK_STORE_H_
 
@@ -71,6 +76,10 @@ class BlockStore {
  public:
   // Opens a block file, loading header, row_ptr, and block index into
   // memory. `map` selects mmap-backed reads (RandomAccessFile::Open).
+  // Throws std::runtime_error naming the field when the header's counts
+  // outrun the file, row_ptr does not rise from 0 to num_edges, the blocks
+  // do not tile [0, num_nodes) in order with edge ranges matching row_ptr,
+  // or a block's payload lies outside the file.
   static BlockStore Open(const std::string& path, bool map = false);
 
   NodeId num_nodes() const { return num_nodes_; }
@@ -85,6 +94,8 @@ class BlockStore {
 
   // The full resident row-offset array (num_nodes + 1 entries).
   std::span<const EdgeId> row_offsets() const { return row_ptr_; }
+  // The resident node -> block array (num_nodes entries).
+  std::span<const uint32_t> block_of() const { return block_of_; }
 
   const BlockMeta& block(size_t b) const { return blocks_[b]; }
 
@@ -99,11 +110,12 @@ class BlockStore {
     return static_cast<size_t>(num_edges_) * BytesPerEdge();
   }
 
-  // Index of the block holding node v's row. O(log num_blocks).
-  uint32_t BlockOf(NodeId v) const;
+  // Index of the block holding node v's row. O(1).
+  uint32_t BlockOf(NodeId v) const { return block_of_[v]; }
 
   // Loads block b's payload into `out`, resizing its vectors to the block's
-  // edge count (absent arrays are cleared). Thread-safe.
+  // edge count (absent arrays are cleared). Throws std::runtime_error when
+  // an adjacency id is not below num_nodes. Thread-safe.
   void ReadBlock(size_t b, BlockData& out) const;
 
   // Builds the non-owning Graph view over block b's loaded payload. `data`
@@ -113,6 +125,7 @@ class BlockStore {
  private:
   RandomAccessFile file_;
   std::vector<EdgeId> row_ptr_;
+  std::vector<uint32_t> block_of_;
   std::vector<BlockMeta> blocks_;
   NodeId num_nodes_ = 0;
   EdgeId num_edges_ = 0;

@@ -84,6 +84,9 @@ const Graph& GraphCache::Acquire(uint32_t bid) {
     ++stats_.evictions;
     CacheMetrics::Get().evictions.Add(1);
   }
+  // Empty while loading: a read that throws (a corrupt block) must not
+  // leave the old block's id on overwritten data.
+  slot.bid = Slot::kEmpty;
   store_->ReadBlock(bid, slot.data);
   slot.view = store_->MakeBlockView(bid, slot.data);
   slot.bid = bid;

@@ -5,16 +5,18 @@
 // arrays (BlockData) plus the non-owning Graph view over them. Acquire(bid)
 // returns the view, loading the block — and evicting the least-recently-used
 // unpinned slot — when it is not resident, and pins it; Release(bid) unpins.
-// Pinned blocks are never evicted, so a view stays valid for exactly the
-// acquire/release window its user holds. Slot buffers are reused across
-// loads, so steady-state residency costs capacity * block payload bytes with
-// no allocation churn — the bound the out-of-core bench's peak-RSS numbers
-// hold against.
+// Pinned blocks are never evicted. A view stays valid until an Acquire
+// loads another block into its slot, which can happen only once the view's
+// block is unpinned. Slot buffers are reused across loads, so steady-state
+// residency costs capacity * block payload bytes with no allocation churn —
+// the bound the out-of-core bench's peak-RSS numbers hold against.
 //
 // Not thread-safe: the out-of-core driver (out_of_core.cc) is the single
-// caller — it acquires one block, fans the block's walks out over the worker
-// pool (workers share the const view), and releases after the parallel
-// section joins.
+// caller, and calls it only between rounds. It loads blocks there, and
+// touches (acquire + release) every block a round's walks stepped on, so
+// eviction follows use. During a round the workers step against the
+// resident views (workers share the const views) while nothing calls the
+// cache, so no view is evicted under them.
 #ifndef FLEXIWALKER_SRC_GRAPH_GRAPH_CACHE_H_
 #define FLEXIWALKER_SRC_GRAPH_GRAPH_CACHE_H_
 

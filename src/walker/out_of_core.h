@@ -3,21 +3,18 @@
 //
 // The design follows the block-cache + walk-parking architecture of
 // out-of-core walk systems: a bounded GraphCache holds N resident edge
-// blocks, every not-currently-executing walk is *parked* in the buffer of
-// the block holding its current node's row, and the driver repeatedly (1)
-// asks the BlockScheduler for the next block — by pending-walk count and
-// I/O cost — (2) makes it resident, and (3) runs the block's parked walks
-// to their next block boundary with the same wavefront inner loop the
-// in-memory WalkScheduler uses. A walk whose next row lies outside the
-// resident block re-parks; one whose walk completes (full length or dead
-// end) retires.
+// blocks, and every not-currently-executing walk is *parked* in the buffer
+// of the block holding its current node's row. The driver runs in rounds:
+// it loads the BlockScheduler's pick — by pending walks per payload byte —
+// and more picks while the cache has a free slot, then steps the pending
+// walks of every resident block in one pool job through WalkScheduler's
+// worker loop (RunOutOfCoreRound). A walk follows its path across resident
+// blocks and parks only at a non-resident one; a finished walk retires.
 //
-// Kernel choice is not made here: RunFlexiWalkerOutOfCore prepares a
-// FlexiPreparation and runs MakeFlexiWorkerFactory (flexiwalker_engine.h),
-// the same factory the in-memory engine and the WalkService use. The
-// driver builds each worker's kernel once per run, not once per block
-// activation, and folds the workers' selection tallies like their cost
-// counters.
+// Kernel choice is not made here: RunFlexiWalkerOutOfCore runs
+// MakeFlexiWorkerFactory (flexiwalker_engine.h), the factory the in-memory
+// engine and the WalkService use, building each worker's kernel once per
+// run and folding the workers' tallies and costs in worker order.
 //
 // Eligibility: first-order workloads only (IsFirstOrderProgram) — a step at
 // node v may read only v's row, so block residency of v is sufficient.
@@ -31,11 +28,12 @@
 // (philox.h) — so park/resume interleaving, cache size, block size, thread
 // count, wavefront width, and dispensation mode can never change a path:
 // out-of-core paths are bit-identical to the in-memory engine's
-// (outofcore_test.cc, OutOfCoreMatchesInMemory*).
+// (outofcore_test.cc, OutOfCore.MatchesInMemory*).
 #ifndef FLEXIWALKER_SRC_WALKER_OUT_OF_CORE_H_
 #define FLEXIWALKER_SRC_WALKER_OUT_OF_CORE_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "src/graph/block_store.h"
@@ -50,24 +48,24 @@ struct OutOfCoreStats {
   uint64_t block_evictions = 0;
   uint64_t cache_hits = 0;
   uint64_t bytes_read = 0;         // payload bytes loaded from disk
-  uint64_t parks = 0;              // walk re-parks at block boundaries
-  uint64_t block_activations = 0;  // scheduler picks (a block may run many times)
+  uint64_t parks = 0;              // walks parked at a non-resident block
+  uint64_t block_activations = 0;  // rounds (one if every block fits)
 };
 
-// Picks the next block to execute. Policy: among blocks with parked walks,
-// prefer a resident one with the most pending walks (zero I/O); otherwise
-// load the block with the best pending-walks-per-payload-byte ratio, so a
+// Picks the next block to load. Policy: among non-resident blocks with
+// parked walks, the best pending-walks-per-payload-byte ratio, so a
 // nearly-free small block beats a marginally-more-pending huge one. Ties
 // break toward the lowest block id — the policy is deterministic, though
-// paths never depend on it.
+// paths never depend on it. A resident block is never picked: a round
+// steps every resident block's walks without a load.
 class BlockScheduler {
  public:
   BlockScheduler(const BlockStore* store, const GraphCache* cache)
       : store_(store), cache_(cache) {}
 
-  // `pending[b]` = parked walks on block b; at least one entry must be
-  // non-zero. Returns the chosen block id.
-  uint32_t PickNext(std::span<const uint64_t> pending) const;
+  // `pending[b]` = parked walks on block b. Returns the chosen block id, or
+  // nullopt when no non-resident block has pending walks.
+  std::optional<uint32_t> PickNext(std::span<const uint64_t> pending) const;
 
  private:
   const BlockStore* store_;

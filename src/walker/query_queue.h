@@ -23,10 +23,10 @@
 // id alone (scheduler.h), so which worker dispenses an id — and in what
 // order — cannot affect any walk. Paths are bit-identical across modes,
 // chunk sizes, steal schedules, and thread counts; scheduler_test.cc proves
-// it over the full matrix. The same modes drive both execution tiers: the
-// in-memory WalkScheduler dispenses start nodes directly, and the
-// out-of-core driver (out_of_core.cc) dispenses a resident block's
-// parked-walk buffer through the index-only constructor.
+// it over the full matrix. The same modes drive both execution tiers: an
+// in-memory run dispenses start nodes directly, and an out-of-core round
+// (WalkScheduler::RunOutOfCoreRound) dispenses the parked walks of every
+// resident block through the index-only constructor.
 #ifndef FLEXIWALKER_SRC_WALKER_QUERY_QUEUE_H_
 #define FLEXIWALKER_SRC_WALKER_QUERY_QUEUE_H_
 
@@ -79,9 +79,9 @@ class QueryQueue {
 
   // Index-only queue: dispenses ids in [0, count) with Query::start left
   // kInvalidNode. Every mode and chunking/stealing behavior applies
-  // unchanged — this is how the out-of-core driver (out_of_core.cc)
-  // dispenses a resident block's parked-walk buffer, whose entries carry
-  // their own start state, so both execution tiers share one dispensation
+  // unchanged — this is how an out-of-core round dispenses its parked
+  // walks (the pending walks of every resident block), whose entries carry
+  // their own state, so both execution tiers share one dispensation
   // subsystem (and the same DispenseOptions validation at the CLI).
   explicit QueryQueue(uint64_t count, unsigned workers = 1,
                       DispenseOptions options = {DispenseMode::kPerQuery, 0})

@@ -53,6 +53,227 @@ struct WalkSlot {
   uint32_t written = 0;
 };
 
+// Residency policies for WalkWorker. Launch fills a slot from a dispensed
+// id; Bind points the context at the graph holding the slot's row; Stay,
+// after each step of an unfinished walk, says whether it keeps stepping.
+//
+// In memory the one graph holds every row: no lookup, no view switch.
+struct InMemory {
+  using Slot = WalkSlot;
+  const WalkLogic& logic;
+  uint64_t seed;
+  uint64_t query_id_offset;
+  PathArenaView out;
+
+  void Launch(Slot& slot, const QueryQueue::Query& next) {
+    slot.q = QueryState{};
+    // Per-query Philox subsequence: the walk's randomness is a pure
+    // function of (seed, global query id), independent of the worker
+    // running it, the wavefront slot it lands in, and how batches were
+    // carved up.
+    slot.q.query_id = query_id_offset + next.id;
+    slot.q.start = next.start;
+    slot.q.cur = next.start;
+    logic.Init(slot.q);
+    slot.stream = PhiloxStream(seed, /*subsequence=*/slot.q.query_id);
+    slot.path = out.Row(next.id);
+    slot.path[0] = slot.q.cur;
+    slot.written = 0;
+  }
+  static void Bind(WalkContext&, const Slot&) {}
+  static bool Stay(Slot&) { return true; }
+};
+
+// Out of core a slot resumes a parked walk at its stream offset and
+// follows it across resident blocks' views; at a non-resident block the
+// walk parks back into its round entry. Stay reads q.cur after logic.Update:
+// PPR's teleport moves the walker somewhere other than the sampled
+// neighbor, and the next step reads the post-update node's row.
+struct OutOfCore {
+  struct Slot : WalkSlot {
+    const Graph* view = nullptr;
+    uint64_t entry = 0;  // index in round.walks
+  };
+  const OutOfCoreRound& round;
+  uint64_t seed;
+  uint64_t query_id_offset;
+  PathArenaView out;
+
+  void Launch(Slot& slot, const QueryQueue::Query& next) {
+    const ParkedWalk& parked = round.walks[next.id];
+    slot.q = parked.q;
+    slot.stream = PhiloxStream(seed, /*subsequence=*/parked.q.query_id, parked.rng_offset);
+    slot.path = out.Row(parked.q.query_id - query_id_offset);
+    slot.written = parked.written;
+    slot.entry = next.id;
+    [[maybe_unused]] const bool resident = Stay(slot);
+    assert(resident && "a round resumes only walks on resident blocks");
+  }
+  static void Bind(WalkContext& ctx, const Slot& slot) { ctx.graph = slot.view; }
+  bool Stay(Slot& slot) {
+    const uint32_t block = round.block_of[slot.q.cur];
+    if (round.views[block] == nullptr) {
+      round.walks[slot.entry] = ParkedWalk{slot.q, slot.stream.offset(), slot.written};
+      return false;
+    }
+    slot.view = round.views[block];
+    if (round.used[block] == 0) {  // read-mostly: the flag's line stays shared
+      round.used[block] = 1;
+    }
+    return true;
+  }
+};
+
+// The configured wavefront width, or — for 0 — the auto width for a graph
+// of `graph_bytes`: wavefronts pay a small staging cost per step and win it
+// back by overlapping CSR row misses, which only exist when the graph
+// outgrows the cache. Below the threshold the default is walk-at-a-time;
+// an explicit width is always honored (the parity tests and benches sweep
+// widths on small graphs).
+uint32_t WidthFor(uint32_t wavefront, size_t graph_bytes) {
+  if (wavefront != 0) {
+    return wavefront;
+  }
+  return graph_bytes > kWavefrontAutoBytes ? kDefaultWavefront : 1;
+}
+
+// One worker: drain `queue` through a wavefront of up to `width` in-flight
+// walks, advancing every live slot one step per pass. Every write a worker
+// makes — path rows and round entries, its private DeviceContext and kernel
+// state — is keyed by the ids it drew or owned outright, so workers never
+// touch the same memory; the pool's job-completion handshake publishes
+// everything to the submitting thread.
+template <typename Residency>
+void WalkWorker(Residency& residency, QueryQueue& queue, unsigned w, const WalkLogic& logic,
+                WalkContext ctx, const StepKernel step, uint32_t width, uint64_t cancel_at_us) {
+  using Slot = typename Residency::Slot;
+  const uint32_t length = logic.walk_length();
+  DeviceContext& device = *ctx.device;
+
+  // Cancellation check, evaluated at pass/claim boundaries only (see
+  // SchedulerOptions::cancel_at_us) — one clock read when armed,
+  // constant-false when not. Never consulted mid-walk between draws, so a
+  // query either runs its steps exactly as an unarmed run would or is
+  // never launched.
+  auto cancelled = [cancel_at_us] {
+    return cancel_at_us != 0 && obs::NowMicros() >= cancel_at_us;
+  };
+
+  // Worker-local telemetry, folded into the registry exactly once per
+  // worker body (RAII so every drain-loop exit path flushes). Purely
+  // observational: no effect on dispensation order or Philox draws.
+  struct LocalCounters {
+    uint64_t steps = 0;
+    uint64_t passes = 0;
+    ~LocalCounters() {
+      if (steps > 0 || passes > 0) {
+        SchedulerMetrics& metrics = SchedulerMetrics::Get();
+        metrics.steps.Add(steps);
+        metrics.wavefront_passes.Add(passes);
+      }
+    }
+  } local;
+
+  // Claims the next query into `slot`; false once the queue has drained.
+  // Stages the walk's row offsets so the pass that first samples it finds
+  // them cached.
+  auto launch = [&](Slot& slot) {
+    std::optional<QueryQueue::Query> next = queue.Next(w);
+    if (!next.has_value()) {
+      slot.path = nullptr;
+      return false;
+    }
+    residency.Launch(slot, *next);
+    residency.Bind(ctx, slot);
+    PrefetchRowOffsets(ctx, slot.q.cur);
+    return true;
+  };
+
+  // Advances `slot` one step; false when the walk leaves this worker's
+  // wavefront — finished (dead end or full length; padding after a dead end
+  // is already in the row) or parked by the residency policy. On a live
+  // continuation, stages the next row's offsets: by the time the next pass
+  // returns to this slot, the offsets are cached and the pass-head span
+  // prefetch can compute the row's addresses cheaply.
+  auto advance = [&](Slot& slot) {
+    residency.Bind(ctx, slot);
+    KernelRng rng(slot.stream, device.mem());
+    StepResult step_result = step(ctx, logic, slot.q, rng);
+    if (!step_result.ok()) {
+      return false;
+    }
+    NodeId next_node = ctx.graph->Neighbor(slot.q.cur, step_result.index);
+    logic.Update(ctx, slot.q, next_node, step_result.index);
+    slot.path[++slot.written] = next_node;
+    ++local.steps;
+    device.mem().StoreCoalesced(1, sizeof(NodeId));
+    if (slot.written == length || !residency.Stay(slot)) {
+      return false;
+    }
+    PrefetchRowOffsets(ctx, slot.q.cur);
+    return true;
+  };
+
+  if (length == 0) {
+    // Degenerate walks: every query is just its start node.
+    Slot slot;
+    while (!cancelled() && launch(slot)) {
+    }
+    return;
+  }
+  if (width == 1) {
+    // Walk-at-a-time: one slot run until it leaves the worker, per claim.
+    // With a single walk in flight there is no other slot's work to hide
+    // prefetch latency behind, so no span staging happens here. The
+    // cancellation boundary is the claim: a launched walk always runs on.
+    Slot slot;
+    while (!cancelled() && launch(slot)) {
+      while (advance(slot)) {
+      }
+    }
+    return;
+  }
+
+  std::vector<Slot> slots(width);
+  size_t active = 0;
+  for (Slot& slot : slots) {
+    if (!launch(slot)) {
+      break;
+    }
+    ++active;
+  }
+  while (active > 0) {
+    if (cancelled()) {
+      // Abandon mid-flight walks where they stand: their rows are never
+      // delivered (the deadline is the last requester's), and no other
+      // query's draws depend on theirs.
+      break;
+    }
+    ++local.passes;
+    // One pass: each live slot stages the following slot's adjacency +
+    // weight spans (whose row offsets the previous pass prefetched) and
+    // then takes its own step — so every span prefetch has one full
+    // slot-step of sampling work to hide behind, and the wrap-around
+    // stages slot 0 for the next pass. A slot whose walk left relaunches
+    // on the next dispensed query so the wavefront stays full until the
+    // queue drains.
+    for (uint32_t i = 0; i < width; ++i) {
+      Slot& slot = slots[i];
+      if (slot.path == nullptr) {
+        continue;
+      }
+      Slot& staged = slots[(i + 1) % width];
+      if (staged.path != nullptr) {
+        residency.Bind(ctx, staged);
+        PrefetchEdgeSpans(ctx, staged.q.cur);
+      }
+      if (!advance(slot) && !launch(slot)) {
+        --active;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 WalkScheduler::WalkScheduler(SchedulerOptions options) : options_(std::move(options)) {
@@ -68,7 +289,7 @@ WalkScheduler::WalkScheduler(SchedulerOptions options) : options_(std::move(opti
   }
   num_threads_ = std::clamp(requested, 1u, kMaxHostWorkers);
   // 0 stays 0 — the auto width is resolved per Run against the graph's
-  // footprint (see RunWithWorkersInto); explicit widths are clamped here.
+  // footprint (WidthFor); explicit widths are clamped here.
   wavefront_ = options_.wavefront == 0 ? 0 : std::clamp(options_.wavefront, 1u, kMaxWavefront);
 }
 
@@ -113,164 +334,17 @@ WalkResult WalkScheduler::RunWithWorkersInto(const Graph& graph, const WalkLogic
   // Worker kernels live until the run returns: the fold after the join
   // reads each one's selection tally out of its keepalive.
   std::vector<WorkerKernel> kernels(workers);
-
-  // One worker: drain the queue through a wavefront of up to W in-flight
-  // walks, advancing every live slot one step per pass. Every write a
-  // worker makes — path rows, its private DeviceContext and kernel slot —
-  // is keyed by the query ids it drew or owned outright, so workers never
-  // touch the same memory; the pool's job-completion handshake publishes
-  // everything to this thread.
-  //
-  // Auto width: wavefronts pay a small staging cost per step and win it
-  // back by overlapping CSR row misses — which only exist when the graph
-  // outgrows the cache. Below the threshold the default is walk-at-a-time;
-  // an explicit SchedulerOptions::wavefront is always honored (the parity
-  // tests and benches sweep widths on small graphs).
-  uint32_t width = wavefront_;
-  if (width == 0) {
-    width = graph.MemoryFootprintBytes() > kWavefrontAutoBytes ? kDefaultWavefront : 1;
-  }
-  auto worker_body = [&](unsigned w) {
-    DeviceContext& device = devices[w];
-    WalkContext ctx{&graph, &device, options_.preprocessed, options_.int8_weights};
-    kernels[w] = make_step(w, device);
-    const StepKernel step = kernels[w].step;
-
-    // Cancellation check, evaluated at pass/claim boundaries only (see
-    // SchedulerOptions::cancel_at_us) — one clock read when armed,
-    // constant-false when not. Never consulted mid-walk between draws, so a
-    // query either runs its steps exactly as an unarmed run would or is
-    // never launched.
-    const uint64_t cancel_at_us = options_.cancel_at_us;
-    auto cancelled = [cancel_at_us] {
-      return cancel_at_us != 0 && obs::NowMicros() >= cancel_at_us;
-    };
-
-    // Worker-local telemetry, folded into the registry exactly once per
-    // worker body (RAII so every drain-loop exit path flushes). Purely
-    // observational: no effect on dispensation order or Philox draws.
-    struct LocalCounters {
-      uint64_t steps = 0;
-      uint64_t passes = 0;
-      ~LocalCounters() {
-        if (steps > 0 || passes > 0) {
-          SchedulerMetrics& metrics = SchedulerMetrics::Get();
-          metrics.steps.Add(steps);
-          metrics.wavefront_passes.Add(passes);
-        }
-      }
-    } local;
-
-    // Claims the next query into `slot`; false once the queue has drained.
-    // Stages the new walk's row offsets so the pass that first samples it
-    // finds them cached.
-    auto launch = [&](WalkSlot& slot) {
-      std::optional<QueryQueue::Query> next = queue.Next(w);
-      if (!next.has_value()) {
-        slot.path = nullptr;
-        return false;
-      }
-      slot.q = QueryState{};
-      // Per-query Philox subsequence: the walk's randomness is a pure
-      // function of (seed, global query id), independent of the worker
-      // running it, the wavefront slot it lands in, and how batches were
-      // carved up.
-      slot.q.query_id = options_.query_id_offset + next->id;
-      slot.q.start = next->start;
-      slot.q.cur = next->start;
-      logic.Init(slot.q);
-      slot.stream = PhiloxStream(seed, /*subsequence=*/slot.q.query_id);
-      slot.path = out.Row(next->id);
-      slot.path[0] = slot.q.cur;
-      slot.written = 0;
-      PrefetchRowOffsets(ctx, slot.q.cur);
-      return true;
-    };
-
-    // Advances `slot` one step; false when the walk finished (dead end or
-    // full length — padding after a dead end is already in the row). On a
-    // live continuation, stages the next node's row offsets: by the time
-    // the next pass returns to this slot, the offsets are cached and the
-    // pass-head span prefetch can compute the row's addresses cheaply.
-    auto advance = [&](WalkSlot& slot) {
-      KernelRng rng(slot.stream, device.mem());
-      StepResult step_result = step(ctx, logic, slot.q, rng);
-      if (!step_result.ok()) {
-        return false;
-      }
-      NodeId next_node = graph.Neighbor(slot.q.cur, step_result.index);
-      logic.Update(ctx, slot.q, next_node, step_result.index);
-      slot.path[++slot.written] = next_node;
-      ++local.steps;
-      device.mem().StoreCoalesced(1, sizeof(NodeId));
-      if (slot.written == length) {
-        return false;
-      }
-      PrefetchRowOffsets(ctx, next_node);
-      return true;
-    };
-
-    if (length == 0) {
-      // Degenerate walks: every query is just its start node.
-      WalkSlot slot;
-      while (!cancelled() && launch(slot)) {
-      }
-      return;
-    }
-    if (width == 1) {
-      // Walk-at-a-time: one slot run to completion per claim. With a single
-      // walk in flight there is no other slot's work to hide prefetch
-      // latency behind, so no span staging happens here. The cancellation
-      // boundary is the claim: a launched walk always runs to completion.
-      WalkSlot slot;
-      while (!cancelled() && launch(slot)) {
-        while (advance(slot)) {
-        }
-      }
-      return;
-    }
-
-    std::vector<WalkSlot> slots(width);
-    size_t active = 0;
-    for (WalkSlot& slot : slots) {
-      if (!launch(slot)) {
-        break;
-      }
-      ++active;
-    }
-    while (active > 0) {
-      if (cancelled()) {
-        // Abandon mid-flight walks where they stand: their rows are never
-        // delivered (the deadline is the last requester's), and no other
-        // query's draws depend on theirs.
-        break;
-      }
-      ++local.passes;
-      // One pass: each live slot stages the following slot's adjacency +
-      // weight spans (whose row offsets the previous pass prefetched) and
-      // then takes its own step — so every span prefetch has one full
-      // slot-step of sampling work to hide behind, and the wrap-around
-      // stages slot 0 for the next pass. A finished slot immediately
-      // relaunches on the next dispensed query so the wavefront stays full
-      // until the queue drains.
-      for (uint32_t i = 0; i < width; ++i) {
-        WalkSlot& slot = slots[i];
-        if (slot.path == nullptr) {
-          continue;
-        }
-        WalkSlot& staged = slots[(i + 1) % width];
-        if (staged.path != nullptr) {
-          PrefetchEdgeSpans(ctx, staged.q.cur);
-        }
-        if (!advance(slot) && !launch(slot)) {
-          --active;
-        }
-      }
-    }
-  };
+  const uint32_t width = WidthFor(wavefront_, graph.MemoryFootprintBytes());
 
   auto t0 = std::chrono::steady_clock::now();
-  RunOnWorkers(workers, worker_body);
+  RunOnWorkers(workers, [&](unsigned w) {
+    DeviceContext& device = devices[w];
+    kernels[w] = make_step(w, device);
+    InMemory residency{logic, seed, options_.query_id_offset, out};
+    WalkWorker(residency, queue, w, logic,
+               WalkContext{&graph, &device, options_.preprocessed, options_.int8_weights},
+               kernels[w].step, width, options_.cancel_at_us);
+  });
   auto t1 = std::chrono::steady_clock::now();
 
   if (obs::MetricsEnabled()) {
@@ -297,6 +371,22 @@ WalkResult WalkScheduler::RunWithWorkersInto(const Graph& graph, const WalkLogic
   result.sim_ms = options_.profile.SimulatedMsFor(merged);
   result.joules = options_.profile.SimulatedJoulesFor(merged);
   return result;
+}
+
+void WalkScheduler::RunOutOfCoreRound(const WalkLogic& logic, uint64_t seed,
+                                      const OutOfCoreRound& round, PathArenaView out) const {
+  const unsigned workers = static_cast<unsigned>(
+      std::clamp<size_t>(round.walks.size(), 1, num_threads_));
+  QueryQueue queue(static_cast<uint64_t>(round.walks.size()), workers, options_.dispense);
+  const uint32_t width = WidthFor(wavefront_, round.graph_bytes);
+
+  RunOnWorkers(workers, [&](unsigned w) {
+    OutOfCore residency{round, seed, options_.query_id_offset, out};
+    WalkWorker(residency, queue, w, logic,
+               WalkContext{nullptr, &round.devices[w], options_.preprocessed,
+                           options_.int8_weights},
+               round.kernels[w].step, width, options_.cancel_at_us);
+  });
 }
 
 }  // namespace flexi

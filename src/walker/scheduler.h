@@ -16,7 +16,8 @@
 // recovery of the memory-level parallelism the paper's warp-lockstep GPU
 // kernels get from their lanes (docs/ARCHITECTURE.md, "The hot loop"). Step
 // kernels are invoked through StepKernel, a non-allocating trivially
-// copyable delegate, so no std::function sits on the per-step path.
+// copyable delegate, so no std::function sits on the per-step path. The
+// out-of-core tier's rounds (RunOutOfCoreRound) step through the same loop.
 //
 // Seed-stable parallelism: every query's randomness comes from its own
 // Philox subsequence — PhiloxStream(seed, query_id) — and every query writes
@@ -29,6 +30,7 @@
 #ifndef FLEXIWALKER_SRC_WALKER_SCHEDULER_H_
 #define FLEXIWALKER_SRC_WALKER_SCHEDULER_H_
 
+#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <functional>
@@ -120,6 +122,30 @@ struct WorkerKernel {
 // per-step path — before it starts pulling queries.
 using WorkerStepFactory = std::function<WorkerKernel(unsigned worker, DeviceContext& device)>;
 
+// A walk waiting for its block in an out-of-core run (out_of_core.h), in
+// arena row q.query_id - query_id_offset. Its Philox stream is stored as a
+// draw offset: seek-then-read is bit-identical to sequential consumption.
+struct ParkedWalk {
+  QueryState q;         // q.cur is the node whose row the next step reads
+  uint64_t rng_offset;  // draws consumed so far from PhiloxStream(seed, query_id)
+  uint32_t written;     // path nodes written after the start node
+};
+
+// One out-of-core round: the walks to resume, the resident set, and the
+// run's per-worker DeviceContexts and kernels (at least num_threads()).
+struct OutOfCoreRound {
+  // Each one's q.cur lies in a resident block. A walk that parks is written
+  // back over its own entry, so afterwards an entry whose q.cur lies in a
+  // non-resident block is a parked walk; any other entry retired.
+  std::span<ParkedWalk> walks;
+  std::span<const uint32_t> block_of;  // node -> block (BlockStore::block_of())
+  std::span<const Graph* const> views;  // block -> resident view; nullptr if not resident
+  std::span<std::atomic<uint8_t>> used;  // set to 1 for every block a walk steps on
+  size_t graph_bytes = 0;  // the full graph's payload, for the auto wavefront width
+  std::span<DeviceContext> devices;
+  std::span<const WorkerKernel> kernels;
+};
+
 // Wavefront width bounds. The default is wide enough to hide one DRAM miss
 // behind the other slots' sampling work on current cores; the cap keeps a
 // worker's staged cache lines from evicting each other (W rows x up to
@@ -206,6 +232,12 @@ class WalkScheduler {
   WalkResult RunWithWorkersInto(const Graph& graph, const WalkLogic& logic,
                                 std::span<const NodeId> starts, uint64_t seed,
                                 const WorkerStepFactory& make_step, PathArenaView out) const;
+
+  // Steps every walk in round.walks through the same worker loop, across
+  // resident blocks, until it finishes or parks at a non-resident block.
+  // Rows go into `out`; the caller folds cost.
+  void RunOutOfCoreRound(const WalkLogic& logic, uint64_t seed, const OutOfCoreRound& round,
+                         PathArenaView out) const;
 
  private:
   SchedulerOptions options_;

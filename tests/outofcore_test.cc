@@ -1,11 +1,22 @@
-// Out-of-core execution tier tests: block-store round-trips, GraphCache
-// pin/evict semantics, and the determinism contract — block-cached walks
-// are bit-identical to the in-memory engine across every cache size, thread
+// Out-of-core execution tier tests: block-store round-trips and corrupt-file
+// rejection, GraphCache pin/evict semantics, the block scheduler's pick
+// policy, and the determinism contract — block-cached walks are
+// bit-identical to the in-memory engine across every cache size, thread
 // count, and wavefront width (out_of_core.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <new>
+#include <optional>
+#include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/graph/block_store.h"
@@ -16,6 +27,28 @@
 #include "src/walks/deepwalk.h"
 #include "src/walks/node2vec.h"
 #include "src/walks/ppr.h"
+
+// Allocation ceiling for the block-file mutation test: while armed on this
+// thread, a single allocation above it is recorded and refused with
+// std::bad_alloc, so a header that would size a vector past the file fails
+// the test without allocating anything.
+namespace {
+thread_local size_t alloc_ceiling = 0;  // 0 = unarmed
+thread_local size_t alloc_refused = 0;  // largest refused request
+}  // namespace
+
+void* operator new(std::size_t bytes) {
+  if (alloc_ceiling != 0 && bytes > alloc_ceiling) {
+    alloc_refused = std::max(alloc_refused, bytes);
+    throw std::bad_alloc();
+  }
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace flexi {
 namespace {
@@ -60,19 +93,18 @@ TEST(BlockStore, RoundTripReassemblesTheGraph) {
     EXPECT_EQ(store.max_degree(), g.MaxDegree());
     ASSERT_EQ(store.row_offsets().size(), g.num_nodes() + 1u);
 
-    // Blocks tile [0, num_nodes) in order, and every node maps back to the
-    // block that holds it.
+    // Blocks tile [0, num_nodes) in order, and BlockOf maps every node in a
+    // block's range back to that block.
     NodeId covered = 0;
     for (size_t b = 0; b < store.num_blocks(); ++b) {
-      EXPECT_EQ(store.block(b).first_node, covered);
-      covered += store.block(b).node_count;
+      const BlockMeta& meta = store.block(b);
+      EXPECT_EQ(meta.first_node, covered);
+      for (NodeId v = meta.first_node; v < meta.first_node + meta.node_count; ++v) {
+        EXPECT_EQ(store.BlockOf(v), b) << "node " << v;
+      }
+      covered += meta.node_count;
     }
     EXPECT_EQ(covered, g.num_nodes());
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      const BlockMeta& meta = store.block(store.BlockOf(v));
-      EXPECT_GE(v, meta.first_node);
-      EXPECT_LT(v, meta.first_node + meta.node_count);
-    }
 
     // Every row read through a block view matches the original graph.
     BlockData data;
@@ -118,6 +150,113 @@ TEST(BlockStore, OversizedRowGetsItsOwnBlock) {
   std::remove(path.c_str());
 }
 
+// Reads the whole file at `path`.
+std::vector<char> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+template <typename T>
+void Poke(std::vector<char>& bytes, size_t offset, T value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(T));
+}
+
+// Seeded mutation fuzzing of the block format: byte flips in every region
+// of a small file and truncation at every region boundary. Each mutant,
+// opened both ways, must either be rejected with std::runtime_error or
+// yield only in-range adjacency ids — and no single allocation may exceed
+// the file's size. Three mutants that once crashed, were accepted, or
+// over-allocated are explicit inputs.
+TEST(BlockStore, RejectsCorruptFiles) {
+  Graph g = TestGraph(300, 5.0, 7);
+  AssignLabels(g, 4, 8);
+  AssignTimestamps(g, 100.0f, 9);
+  const std::string clean_path = BlockFilePath("mutation_clean");
+  ASSERT_EQ(PartitionToBlockFile(g, clean_path, 6000), 4u);
+  const std::vector<char> clean = ReadFileBytes(clean_path);
+  BlockStore reference = BlockStore::Open(clean_path);
+  std::remove(clean_path.c_str());
+
+  // Region starts: magic, header, row_ptr, block index, then each block's
+  // adjacency, weights, labels and timestamps.
+  const size_t row_ptr_at = 48;
+  const size_t index_at = row_ptr_at + (reference.num_nodes() + 1) * sizeof(EdgeId);
+  std::vector<size_t> starts = {0, 8, row_ptr_at, index_at};
+  for (size_t b = 0; b < reference.num_blocks(); ++b) {
+    size_t at = reference.block(b).payload_offset;
+    size_t edges = reference.block(b).edge_count;
+    for (size_t bytes_per_edge : {sizeof(NodeId), sizeof(float), sizeof(uint8_t)}) {
+      starts.push_back(at);
+      at += edges * bytes_per_edge;
+    }
+    starts.push_back(at);  // timestamps
+  }
+  starts.push_back(clean.size());
+
+  std::vector<std::vector<char>> mutants;
+  std::mt19937_64 rng(0x5EED);
+  for (size_t r = 0; r + 1 < starts.size(); ++r) {
+    const size_t begin = starts[r];
+    const size_t end = starts[r + 1];
+    for (int flip = 0; flip < 16 && end > begin; ++flip) {
+      std::vector<char> mutant = clean;
+      mutant[begin + rng() % (end - begin)] ^= static_cast<char>(1 + rng() % 255);
+      mutants.push_back(std::move(mutant));
+    }
+    mutants.emplace_back(clean.begin(), clean.begin() + static_cast<std::ptrdiff_t>(begin));
+  }
+  // An index entry is first_node, node_count (u32), first_edge, edge_count,
+  // payload_offset (u64): block 1's payload_offset sits 32 + 24 bytes in.
+  std::vector<char> wrapping_offset = clean;  // wrapped ReadAt's bound; mapped reads segfaulted
+  Poke<uint64_t>(wrapping_offset, index_at + 32 + 24, ~uint64_t{0} - 7);
+  mutants.push_back(wrapping_offset);
+  std::vector<char> bad_id = clean;  // was accepted by ReadBlock
+  Poke<uint32_t>(bad_id, reference.block(0).payload_offset, 0xFFFFFF00u);
+  mutants.push_back(bad_id);
+  std::vector<char> huge_nodes = clean;  // sized row_ptr at 32 GiB
+  Poke<uint32_t>(huge_nodes, 8, 0xFFFFFFF0u);
+  mutants.push_back(huge_nodes);
+
+  const std::string path = BlockFilePath("mutation");
+  size_t rejected = 0;
+  for (size_t m = 0; m < mutants.size(); ++m) {
+    WriteFileBytes(path, mutants[m]);
+    for (bool map : {false, true}) {
+      size_t out_of_range = 0;
+      std::string unexpected;
+      alloc_refused = 0;
+      // The file's size, plus room for error strings on the tiniest mutants.
+      alloc_ceiling = mutants[m].size() + 4096;
+      try {
+        BlockStore store = BlockStore::Open(path, map);
+        BlockData data;
+        for (size_t b = 0; b < store.num_blocks(); ++b) {
+          store.ReadBlock(b, data);
+          out_of_range += static_cast<size_t>(
+              std::count_if(data.adjacency.begin(), data.adjacency.end(),
+                            [&store](NodeId id) { return id >= store.num_nodes(); }));
+        }
+      } catch (const std::runtime_error&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        unexpected = e.what();
+      }
+      alloc_ceiling = 0;
+      EXPECT_EQ(out_of_range, 0u) << "mutant " << m << " map=" << map;
+      EXPECT_EQ(unexpected, "") << "mutant " << m << " map=" << map
+                                << ": largest refused allocation " << alloc_refused
+                                << " bytes for a " << mutants[m].size() << "-byte file";
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------- graph cache --
 
 TEST(GraphCache, PinsEvictsAndCounts) {
@@ -147,6 +286,32 @@ TEST(GraphCache, PinsEvictsAndCounts) {
   EXPECT_GT(cache.stats().bytes_read, 0u);
   // Releasing an unpinned block is a caller bug.
   EXPECT_THROW(cache.Release(0), std::logic_error);
+  std::remove(path.c_str());
+}
+
+// ------------------------------------------------------ block scheduler --
+
+TEST(BlockScheduler, PicksByPendingPerByteAmongNonResidentBlocks) {
+  // Hub 0's 600-edge row is a block of its own; the leaves' one-edge rows
+  // fill blocks of 256 nodes (1 KiB), the last one short.
+  Graph g = GenerateStar(600);
+  const std::string path = BlockFilePath("pick");
+  ASSERT_EQ(PartitionToBlockFile(g, path, kMinBlockBytes), 4u);
+  BlockStore store = BlockStore::Open(path);
+  ASSERT_GT(store.BlockPayloadBytes(0), 2 * store.BlockPayloadBytes(1));
+  ASSERT_EQ(store.BlockPayloadBytes(1), store.BlockPayloadBytes(2));
+  GraphCache cache(&store, 1);
+  BlockScheduler scheduler(&store, &cache);
+
+  // A small block beats a marginally-more-pending large one.
+  EXPECT_EQ(scheduler.PickNext(std::vector<uint64_t>{11, 10, 0, 0}), 1u);
+  // Ties go to the lowest id.
+  EXPECT_EQ(scheduler.PickNext(std::vector<uint64_t>{0, 5, 5, 0}), 1u);
+  // A resident block is never picked, however much work it holds.
+  cache.Acquire(1);
+  cache.Release(1);
+  EXPECT_EQ(scheduler.PickNext(std::vector<uint64_t>{0, 1000, 1, 0}), 2u);
+  EXPECT_EQ(scheduler.PickNext(std::vector<uint64_t>{0, 1000, 0, 0}), std::nullopt);
   std::remove(path.c_str());
 }
 
@@ -181,6 +346,11 @@ TEST(OutOfCore, MatchesInMemoryAcrossCacheThreadsAndWavefront) {
             << "cache=" << cache_blocks << " threads=" << threads
             << " wavefront=" << wavefront;
         EXPECT_GE(stats.block_loads, 1u);
+        if (cache_blocks == blocks) {
+          // Every block fits: one round, and no walk ever parks.
+          EXPECT_EQ(stats.parks, 0u);
+          EXPECT_EQ(stats.block_activations, 1u);
+        }
       }
     }
   }
