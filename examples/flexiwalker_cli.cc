@@ -15,18 +15,19 @@
 
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/analysis/walk_analysis.h"
@@ -53,485 +54,383 @@
 namespace flexi {
 namespace {
 
-struct CliOptions {
-  std::string dataset = "YT";
-  std::string graph_path;
-  std::string workload = "node2vec";
-  std::string engine = "flexiwalker";
-  std::string weights = "uniform";  // uniform|pareto|degree|none
-  double alpha = 2.0;
-  uint32_t length = 80;
-  size_t queries = 0;  // 0 = one per node
-  unsigned threads = 0;  // 0 = hardware concurrency
-  uint64_t seed = 2026;
-  std::string out_path;
-  // Query-id dispensation (flexiwalker engine + serving modes; walk paths
-  // are identical for every setting — see query_queue.h).
-  unsigned chunk = 0;          // ids per global claim; 0 = adaptive
-  std::string steal = "on";    // raw --steal text; steal_on is the parsed truth
-  bool steal_on = true;
-  bool dispense_set = false;   // either flag given explicitly
-  // Wavefront width for the scheduler's batched inner loop (scheduler.h);
-  // 0 = the scheduler default. Paths are identical for every width.
-  unsigned wavefront = 0;
-  bool wavefront_set = false;
-  // Out-of-core tier (out_of_core.h): giving either flag routes the
-  // one-shot run through the block-cached executor — partition to a block
-  // file, then walk it under a bounded GraphCache. Paths are bit-identical
-  // to the in-memory engine with the same pinned cost ratio.
-  size_t block_bytes = kDefaultBlockBytes;
-  uint32_t cache_blocks = 4;
-  bool out_of_core = false;  // either flag given explicitly
-  bool serve = false;
-  // Network serving (docs/SERVING.md "Network serving"):
-  int listen_port = -1;     // >= 0 => run a WalkServer (0 = ephemeral port)
-  std::string connect;      // non-empty => client mode, "port" or "host:port"
-  unsigned coalesce_us = 200;   // request coalescing window
-  size_t max_batch = 512;       // coalescer flush threshold (queries)
-  size_t admit = 1 << 16;       // admission bound (queries, pending + in flight)
-  std::string overflow = "block";  // block|reject when the bound is hit
-  unsigned pipeline = 2;        // batch runner threads per served workload
-  // Extra workloads to register on the server besides the primary --workload
-  // (which is always workload id 0, name "default"). Comma-separated
-  // name[:admit=N][:overflow=block|reject] entries; see docs/SERVING.md.
-  std::string workloads;
-  uint32_t workload_id = 0;     // client mode: route requests to this workload
-  bool workload_id_set = false;
-  // Deadline-aware serving (docs/SERVING.md "Deadlines, retries, and drain"):
-  uint64_t deadline_us = 0;         // client mode: per-request latency budget
-  bool deadline_us_set = false;
-  unsigned request_timeout_ms = 0;  // client mode: local per-request answer timeout
-  bool request_timeout_set = false;
-  unsigned retries = 0;             // client mode: Walk() retries on transient failures
-  bool retries_set = false;
-  unsigned drain_ms = 5000;         // listen mode: SIGTERM/SIGINT drain grace
-  bool drain_ms_set = false;
-  // Telemetry (docs/OBSERVABILITY.md):
-  bool stats = false;           // client mode: scrape the server's metrics and exit
-  std::string metrics_out;      // listen mode: Prometheus dump path (SIGUSR1 + exit)
-  std::string trace_out;        // listen mode: Chrome trace_event JSON path (exit)
-  bool static_cache = false;    // FlexiWalkerOptions::cache_static_tables
-  // Compiled step kernels (src/compiler/jit.h): --jit on|off|auto selects
-  // the mode, --jit-cache-dir the on-disk .so cache. Paths are bit-identical
-  // compiled or interpreted, so the flags tune speed only.
-  std::string jit = "off";      // raw --jit text; jit_mode is the parsed truth
-  jit::JitMode jit_mode = jit::JitMode::kOff;
-  bool jit_set = false;
-  std::string jit_cache_dir;
-  bool jit_cache_dir_set = false;
-  std::string adaptive_window = "on";  // raw --adaptive-window text
-  bool adaptive_window_on = true;
-  bool adaptive_window_set = false;  // flag given explicitly
-  bool help = false;
-};
-
 // Distinct exit codes so scripts can tell failure modes apart: flag/usage
-// errors, a --serve/--listen engine the serving stack does not support, and
-// malformed stdin input (non-numeric/overflowing start-node tokens).
+// errors (and unreadable files), a --serve/--listen engine the serving
+// stack does not support, and malformed input (stdin start-node tokens or
+// a --graph edge list).
 constexpr int kExitUsage = 1;
 constexpr int kExitUnsupportedEngine = 2;
 constexpr int kExitMalformedInput = 3;
 
-void PrintUsage() {
-  std::printf(
-      "flexiwalker_cli — run dynamic random walks\n\n"
-      "  --dataset  <YT|CP|LJ|OK|EU|AB|UK|TW|SK|FS>   stand-in dataset (default YT)\n"
-      "  --graph    <path>        edge-list file instead of a dataset\n"
-      "  --workload <node2vec|metapath|2ndpr|deepwalk|ppr|temporal|temporal-decay|\n"
-      "              autoregressive>\n"
-      "  --engine   <flexiwalker|flowwalker|nextdoor|csaw|skywalker|thunderrw|\n"
-      "              knightking|sowalker>\n"
-      "  --weights  <uniform|pareto|degree|none>       property weights (default uniform)\n"
-      "  --alpha    <float>       Pareto shape when --weights pareto (default 2.0)\n"
-      "  --length   <steps>       walk length (default 80)\n"
-      "  --queries  <n>           number of start nodes (default: every node)\n"
-      "  --threads  <n>           host worker threads (default: hardware concurrency;\n"
-      "                           walk paths are identical for any value)\n"
-      "  --chunk    <n>           query ids claimed per global-counter RMW, 1..%u\n"
-      "                           (flexiwalker engine; default 0 = adaptive; paths\n"
-      "                           identical for any value)\n"
-      "  --steal    <on|off>      work-stealing between worker chunk cursors\n"
-      "                           (flexiwalker engine; default on; paths identical)\n"
-      "  --wavefront <n>          in-flight walks per worker in the scheduler's\n"
-      "                           batched inner loop, 1..%u (flexiwalker engine;\n"
-      "                           default 0 = scheduler default; 1 = walk-at-a-time;\n"
-      "                           paths identical for any width)\n"
-      "  --jit      <on|off|auto> compiled step kernels (flexiwalker engine, all\n"
-      "                           tiers): specialize the workload's step into one\n"
-      "                           compiled, dlopen'd function cached by program hash\n"
-      "                           (default off; auto compiles in the background and\n"
-      "                           swaps in; paths identical compiled or interpreted)\n"
-      "  --jit-cache-dir <path>   on-disk .so cache for --jit (default: system temp)\n"
-      "  --seed     <n>           RNG seed (default 2026)\n"
-      "  --out      <path>        write walks, one per line\n"
-      "out-of-core execution (flexiwalker engine, one-shot runs, first-order\n"
-      "workloads; giving either flag enables the tier — docs/ARCHITECTURE.md):\n"
-      "  --block-bytes <n>        partition the graph into <= n-byte edge blocks,\n"
-      "                           n >= %zu (default %zu); paths identical to the\n"
-      "                           in-memory engine\n"
-      "  --cache-blocks <n>       resident-block budget, >= 1 (default 4); edge\n"
-      "                           memory is bounded by cache-blocks x block-bytes\n"
-      "  --serve                  streaming mode (flexiwalker engine only): read\n"
-      "                           batches of start-node ids from stdin, one batch\n"
-      "                           per line, until EOF or \"quit\"; see docs/SERVING.md\n"
-      "network serving (flexiwalker engine only; docs/SERVING.md \"Network serving\"):\n"
-      "  --listen   <port>        serve over TCP on 127.0.0.1:<port> (0 = ephemeral;\n"
-      "                           the bound port is printed); stdin EOF or \"quit\" stops\n"
-      "  --connect  <[host:]port> client mode: send stdin batches to a WalkServer\n"
-      "  --coalesce-us <n>        server request-coalescing window (default 200)\n"
-      "  --max-batch <n>          coalescer flush threshold, queries (default 512)\n"
-      "  --admit    <n>           admission bound, queries pending+in-flight (default 65536)\n"
-      "  --overflow <block|reject> backpressure when the bound is hit (default block)\n"
-      "  --pipeline <n>           batch runner threads per served workload (default 2)\n"
-      "  --workloads <spec>       register extra workloads on the server besides the\n"
-      "                           primary --workload (always id 0): comma-separated\n"
-      "                           name[:admit=<n>][:overflow=<block|reject>] entries,\n"
-      "                           e.g. deepwalk:admit=1024:overflow=reject,ppr\n"
-      "  --workload-id <n>        client mode: route requests to server workload <n>\n"
-      "                           (default 0)\n"
-      "  --deadline-us <n>        client mode: attach an <n>-microsecond latency budget\n"
-      "                           to each request; the server sheds lapsed\n"
-      "                           work and answers \"deadline exceeded\"\n"
-      "  --request-timeout-ms <n> client mode: fail a request locally when no answer\n"
-      "                           arrives within <n> ms (also bounds connect)\n"
-      "  --retries <n>            client mode: retry transient failures (torn connection,\n"
-      "                           timeout, overloaded/draining/deadline-exceeded) up to\n"
-      "                           <n> times with jittered exponential backoff\n"
-      "  --drain-ms <n>           listen mode: SIGTERM/SIGINT graceful-drain grace — stop\n"
-      "                           accepting, answer new requests \"draining\", let admitted\n"
-      "                           work finish up to <n> ms, then stop (default 5000)\n"
-      "  --static-cache           cached static-walk fast path: serve static workloads\n"
-      "                           (deepwalk/unweighted) from per-node alias tables\n"
-      "  --adaptive-window <on|off> EWMA-adaptive coalesce window: flush immediately\n"
-      "                           when traffic is sparse, so idle-period requests pay\n"
-      "                           walk latency instead of the window (default on)\n"
-      "telemetry (docs/OBSERVABILITY.md):\n"
-      "  --stats                  client mode: scrape the server's metrics registry\n"
-      "                           (kStatsRequest), print the Prometheus text, exit\n"
-      "  --metrics-out <path>     listen mode: write the local metrics registry as\n"
-      "                           Prometheus text on SIGUSR1 and again at shutdown\n"
-      "  --trace-out <path>       listen mode: record request-lifecycle spans and\n"
-      "                           write them as Chrome trace_event JSON at shutdown\n"
-      "exit codes: 0 ok | %d usage | %d unsupported engine | %d malformed input\n",
-      kMaxDispenseChunk, kMaxWavefront, kMinBlockBytes, kDefaultBlockBytes, kExitUsage,
-      kExitUnsupportedEngine, kExitMalformedInput);
+// A run's mode. --connect (a metrics scrape with --stats), --listen and
+// --serve each select their own; a run with none of them is one-shot, out
+// of core when --block-bytes or --cache-blocks is given. Each flag names
+// the modes it applies to.
+enum Mode : unsigned {
+  kOneShot = 1, kOutOfCore = 2, kServe = 4, kListen = 8, kConnect = 16, kStats = 32,
+};
+constexpr unsigned kServing = kServe | kListen;
+constexpr unsigned kLocal = kOneShot | kOutOfCore | kServing;
+constexpr unsigned kClient = kConnect | kStats;
+constexpr const char* kModeNames[] = {"one-shot", "out-of-core", "--serve",
+                                      "--listen", "--connect",   "--connect --stats"};
+
+enum class Kind { kSwitch, kUnsigned, kReal, kChoice, kText };
+
+// One command-line flag. The parser range-checks its value, the mode and
+// engine gate reject it outside its modes, and --help prints it, all from
+// this row.
+struct Flag {
+  const char* name;
+  Kind kind;
+  std::string_view value;  // kChoice: "a|b|c", the first is the default; else a --help placeholder
+  std::string_view def;    // kUnsigned/kReal default text; empty = none
+  uint64_t min, max;       // kUnsigned bounds
+  unsigned modes;
+  bool flexi_only;  // needs --engine flexiwalker: the baselines have no such setting
+  const char* help;
+};
+
+constexpr Flag Switch(const char* name, unsigned modes, const char* help) {
+  return {name, Kind::kSwitch, "", "", 0, 0, modes, false, help};
+}
+constexpr Flag Num(const char* name, std::string_view def, uint64_t min, uint64_t max,
+                   unsigned modes, const char* help, bool flexi_only = false) {
+  return {name, Kind::kUnsigned, "", def, min, max, modes, flexi_only, help};
+}
+constexpr Flag Choice(const char* name, std::string_view choices, unsigned modes,
+                      const char* help, bool flexi_only = false) {
+  return {name, Kind::kChoice, choices, "", 0, 0, modes, flexi_only, help};
+}
+constexpr Flag Text(const char* name, std::string_view placeholder, unsigned modes,
+                    const char* help, bool flexi_only = false) {
+  return {name, Kind::kText, placeholder, "", 0, 0, modes, flexi_only, help};
 }
 
-// Strict unsigned parse for every integer flag, where a wrapped negative
-// would mean a 71-minute coalesce window or 4 billion batch runner threads
-// rather than a harmless default.
-bool ParseUnsignedFlag(const char* flag, const char* text, unsigned long long max_value,
-                       unsigned long long& out) {
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long value = std::strtoull(text, &end, 10);
-  if (text[0] == '-' || end == text || *end != '\0' || errno == ERANGE || value > max_value) {
-    std::fprintf(stderr, "bad value for %s: %s\n", flag, text);
-    return false;
-  }
-  out = value;
-  return true;
-}
+constexpr Flag kFlags[] = {
+    Choice("--dataset", "YT|CP|LJ|OK|EU|AB|UK|TW|SK|FS", kLocal, "stand-in dataset"),
+    Text("--graph", "path", kLocal,
+         "edge-list file (src dst [weight [label]]) instead of a dataset"),
+    Choice("--workload",
+           "node2vec|metapath|2ndpr|deepwalk|ppr|temporal|temporal-decay|autoregressive", kLocal,
+           "walk to run"),
+    Choice("--engine",
+           "flexiwalker|flowwalker|nextdoor|csaw|skywalker|thunderrw|knightking|sowalker", kLocal,
+           "walk engine; --serve and --listen run flexiwalker only (exit 2)"),
+    Choice("--weights", "uniform|pareto|degree|none", kLocal, "property weights"),
+    {"--alpha", Kind::kReal, "positive real", "2.0", 0, 0, kLocal, false,
+     "Pareto shape for --weights pareto"},
+    // 2^32 - 2 keeps the path stride length + 1 inside uint32_t.
+    Num("--length", "80", 0, 0xFFFFFFFE, kLocal, "walk length in steps"),
+    Num("--queries", "0", 0, std::numeric_limits<size_t>::max(), kOneShot | kOutOfCore,
+        "start nodes 0..n-1; 0 = every node"),
+    Num("--threads", "0", 0, kMaxHostWorkers, kLocal,
+        "host worker threads; 0 = hardware concurrency"),
+    Num("--seed", "2026", 0, std::numeric_limits<uint64_t>::max(), kLocal | kConnect,
+        "RNG seed (--connect: retry backoff jitter)"),
+    Text("--out", "path", kOneShot | kOutOfCore | kServe | kConnect, "write walks, one per line"),
+    // The queue and the scheduler clamp these; reject rather than silently
+    // shrink a wild request.
+    Num("--chunk", "0", 0, kMaxDispenseChunk, kLocal,
+        "query ids claimed per global-counter RMW; 0 = adaptive", true),
+    Choice("--steal", "on|off", kLocal, "work-stealing between worker chunk cursors", true),
+    Num("--wavefront", "0", 0, kMaxWavefront, kLocal,
+        "in-flight walks per worker; 0 = scheduler default, 1 = walk-at-a-time", true),
+    Choice("--jit", "off|on|auto", kLocal,
+           "compiled step kernels; auto compiles in the background and swaps in", true),
+    Text("--jit-cache-dir", "path", kLocal, "on-disk .so cache for --jit (default: system temp)",
+         true),
+    // The partitioner's floor; a block above 1 GiB defeats partitioning.
+    Num("--block-bytes", "4194304", kMinBlockBytes, 1ull << 30, kOutOfCore,
+        "partition the graph into edge blocks of at most n bytes", true),
+    Num("--cache-blocks", "4", 1, 1ull << 20, kOutOfCore,
+        "resident-block budget: edge memory <= cache-blocks x block-bytes", true),
+    Switch("--serve", kServe, "read batches of start-node ids from stdin, one per line, until "
+                              "EOF or \"quit\""),
+    Num("--listen", "", 0, 65535, kListen,
+        "serve over TCP on 127.0.0.1:port (0 = ephemeral); stdin EOF or \"quit\" stops"),
+    Text("--connect", "[host:]port", kClient,
+         "the --listen server to send stdin batches to, or to scrape with --stats"),
+    // Windows and deadlines above these are surely typos, not budgets.
+    Num("--coalesce-us", "200", 0, 60'000'000, kListen, "request-coalescing window"),
+    Num("--max-batch", "512", 0, 1ull << 32, kListen, "coalescer flush threshold, queries"),
+    Num("--admit", "65536", 0, 1ull << 32, kListen,
+        "admission bound, queries pending + in flight"),
+    Choice("--overflow", "block|reject", kListen, "backpressure when the admission bound is hit"),
+    Num("--pipeline", "2", 0, 256, kServing, "batch runner threads per served workload"),
+    Text("--workloads", "spec", kListen,
+         "extra workloads, name[:admit=n][:overflow=block|reject],... (--workload is id 0)"),
+    Switch("--static-cache", kServing,
+           "walk static workloads (deepwalk, unweighted) on per-node alias tables"),
+    Choice("--adaptive-window", "on|off", kListen,
+           "flush at once when traffic is sparse instead of waiting out the window"),
+    Num("--drain-ms", "5000", 0, 3'600'000, kListen,
+        "SIGTERM/SIGINT grace for admitted work before the server stops"),
+    Text("--metrics-out", "path", kListen,
+         "write the metrics registry as Prometheus text on SIGUSR1 and at exit"),
+    Text("--trace-out", "path", kListen,
+         "write request-lifecycle spans as Chrome trace_event JSON at exit"),
+    Num("--workload-id", "0", 0, 0xFFFFFFFF, kConnect, "route requests to this server workload"),
+    Num("--deadline-us", "0", 0, 3'600'000'000, kConnect,
+        "latency budget per request; 0 = none; the server sheds lapsed work"),
+    Num("--request-timeout-ms", "0", 0, 3'600'000, kClient,
+        "fail a request, and the connect, locally after n ms; 0 = never"),
+    Num("--retries", "0", 0, 1000, kConnect,
+        "retry transient failures with jittered exponential backoff"),
+    Switch("--stats", kStats, "print the server's metrics as Prometheus text and exit"),
+};
 
-// Strict on|off parse for the boolean-valued flags; anything else is a
-// usage error, matching the numeric-flag convention.
-bool ParseOnOff(const char* flag, const std::string& text, bool& out) {
-  if (text == "on") {
-    out = true;
-    return true;
-  }
-  if (text == "off") {
-    out = false;
-    return true;
-  }
-  std::fprintf(stderr, "bad value for %s: %s (want on|off)\n", flag, text.c_str());
-  return false;
-}
-
-bool ParseArgs(int argc, char** argv, CliOptions& options) {
-  std::map<std::string, std::string*> string_flags = {
-      {"--dataset", &options.dataset},   {"--graph", &options.graph_path},
-      {"--workload", &options.workload}, {"--engine", &options.engine},
-      {"--weights", &options.weights},   {"--out", &options.out_path},
-      {"--connect", &options.connect},   {"--overflow", &options.overflow},
-      {"--steal", &options.steal},       {"--adaptive-window", &options.adaptive_window},
-      {"--workloads", &options.workloads},
-      {"--metrics-out", &options.metrics_out}, {"--trace-out", &options.trace_out},
-      {"--jit", &options.jit},           {"--jit-cache-dir", &options.jit_cache_dir},
-  };
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      options.help = true;
-      return true;
+constexpr const Flag* FindFlag(std::string_view name) {
+  for (const Flag& flag : kFlags) {
+    if (std::string_view(flag.name) == name) {
+      return &flag;
     }
-    if (arg == "--serve") {
-      options.serve = true;
-      continue;
-    }
-    if (arg == "--static-cache") {
-      options.static_cache = true;
-      continue;
-    }
-    if (arg == "--stats") {
-      options.stats = true;
-      continue;
-    }
-    auto needs_value = [&](const char* name) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", name);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (auto it = string_flags.find(arg); it != string_flags.end()) {
-      const char* value = needs_value(arg.c_str());
-      if (value == nullptr) {
-        return false;
-      }
-      *it->second = value;
-      if (arg == "--steal") {
-        options.dispense_set = true;
-      } else if (arg == "--adaptive-window") {
-        options.adaptive_window_set = true;
-      } else if (arg == "--jit") {
-        options.jit_set = true;
-      } else if (arg == "--jit-cache-dir") {
-        options.jit_cache_dir_set = true;
-      }
-    } else if (arg == "--alpha") {
-      const char* value = needs_value("--alpha");
-      if (value == nullptr) {
-        return false;
-      }
-      // The whole token, finite and positive: atof would turn "abc" into 0
-      // and "nan" into a NaN weight exponent.
-      char* end = nullptr;
-      double alpha = std::strtod(value, &end);
-      if (end == value || *end != '\0' || !std::isfinite(alpha) || alpha <= 0.0) {
-        std::fprintf(stderr, "bad value for --alpha: %s\n", value);
-        return false;
-      }
-      options.alpha = alpha;
-    } else if (arg == "--length") {
-      const char* value = needs_value("--length");
-      unsigned long long length = 0;
-      // 2^32 - 2 keeps the path stride length + 1 inside uint32_t.
-      if (value == nullptr || !ParseUnsignedFlag("--length", value, 0xFFFFFFFEull, length)) {
-        return false;
-      }
-      options.length = static_cast<uint32_t>(length);
-    } else if (arg == "--queries") {
-      const char* value = needs_value("--queries");
-      unsigned long long queries = 0;
-      if (value == nullptr ||
-          !ParseUnsignedFlag("--queries", value, std::numeric_limits<size_t>::max(), queries)) {
-        return false;
-      }
-      options.queries = static_cast<size_t>(queries);
-    } else if (arg == "--threads") {
-      const char* value = needs_value("--threads");
-      unsigned long long threads = 0;
-      if (value == nullptr || !ParseUnsignedFlag("--threads", value, kMaxHostWorkers, threads)) {
-        return false;
-      }
-      options.threads = static_cast<unsigned>(threads);
-    } else if (arg == "--seed") {
-      const char* value = needs_value("--seed");
-      unsigned long long seed = 0;
-      if (value == nullptr ||
-          !ParseUnsignedFlag("--seed", value, std::numeric_limits<uint64_t>::max(), seed)) {
-        return false;
-      }
-      options.seed = static_cast<uint64_t>(seed);
-    } else if (arg == "--chunk") {
-      const char* value = needs_value("--chunk");
-      unsigned long long chunk = 0;
-      // The queue clamps chunks to kMaxDispenseChunk; reject rather than
-      // silently shrink a wild request.
-      if (value == nullptr || !ParseUnsignedFlag("--chunk", value, kMaxDispenseChunk, chunk)) {
-        return false;
-      }
-      options.chunk = static_cast<unsigned>(chunk);
-      options.dispense_set = true;
-    } else if (arg == "--wavefront") {
-      const char* value = needs_value("--wavefront");
-      unsigned long long wavefront = 0;
-      // The scheduler clamps widths to kMaxWavefront; reject rather than
-      // silently shrink a wild request (matching --chunk).
-      if (value == nullptr ||
-          !ParseUnsignedFlag("--wavefront", value, kMaxWavefront, wavefront)) {
-        return false;
-      }
-      options.wavefront = static_cast<unsigned>(wavefront);
-      options.wavefront_set = true;
-    } else if (arg == "--block-bytes") {
-      const char* value = needs_value("--block-bytes");
-      unsigned long long bytes = 0;
-      // 1 GiB ceiling: a larger "block" defeats partitioning and is surely
-      // a typo, not a budget.
-      if (value == nullptr || !ParseUnsignedFlag("--block-bytes", value, 1ull << 30, bytes)) {
-        return false;
-      }
-      if (bytes < kMinBlockBytes) {
-        // The partitioner enforces the same floor (block_store.h) — a block
-        // must hold at least one full max-degree-bounded row header.
-        std::fprintf(stderr, "bad value for --block-bytes: %s (minimum %zu)\n", value,
-                     kMinBlockBytes);
-        return false;
-      }
-      options.block_bytes = static_cast<size_t>(bytes);
-      options.out_of_core = true;
-    } else if (arg == "--cache-blocks") {
-      const char* value = needs_value("--cache-blocks");
-      unsigned long long blocks = 0;
-      if (value == nullptr || !ParseUnsignedFlag("--cache-blocks", value, 1ull << 20, blocks)) {
-        return false;
-      }
-      if (blocks == 0) {
-        std::fprintf(stderr,
-                     "bad value for --cache-blocks: 0 (the cache must hold at least one block)\n");
-        return false;
-      }
-      options.cache_blocks = static_cast<uint32_t>(blocks);
-      options.out_of_core = true;
-    } else if (arg == "--listen") {
-      const char* value = needs_value("--listen");
-      unsigned long long port = 0;
-      if (value == nullptr || !ParseUnsignedFlag("--listen", value, 65535, port)) {
-        return false;
-      }
-      options.listen_port = static_cast<int>(port);
-    } else if (arg == "--coalesce-us") {
-      const char* value = needs_value("--coalesce-us");
-      unsigned long long us = 0;
-      // 60s ceiling: anything longer is surely a typo, not a window.
-      if (value == nullptr || !ParseUnsignedFlag("--coalesce-us", value, 60'000'000ull, us)) {
-        return false;
-      }
-      options.coalesce_us = static_cast<unsigned>(us);
-    } else if (arg == "--max-batch") {
-      const char* value = needs_value("--max-batch");
-      unsigned long long n = 0;
-      if (value == nullptr || !ParseUnsignedFlag("--max-batch", value, 1ull << 32, n)) {
-        return false;
-      }
-      options.max_batch = static_cast<size_t>(n);
-    } else if (arg == "--admit") {
-      const char* value = needs_value("--admit");
-      unsigned long long n = 0;
-      if (value == nullptr || !ParseUnsignedFlag("--admit", value, 1ull << 32, n)) {
-        return false;
-      }
-      options.admit = static_cast<size_t>(n);
-    } else if (arg == "--pipeline") {
-      const char* value = needs_value("--pipeline");
-      unsigned long long depth = 0;
-      if (value == nullptr || !ParseUnsignedFlag("--pipeline", value, 256, depth)) {
-        return false;
-      }
-      options.pipeline = static_cast<unsigned>(depth);
-    } else if (arg == "--workload-id") {
-      const char* value = needs_value("--workload-id");
-      unsigned long long id = 0;
-      if (value == nullptr || !ParseUnsignedFlag("--workload-id", value, 0xFFFFFFFFull, id)) {
-        return false;
-      }
-      options.workload_id = static_cast<uint32_t>(id);
-      options.workload_id_set = true;
-    } else if (arg == "--deadline-us") {
-      const char* value = needs_value("--deadline-us");
-      unsigned long long us = 0;
-      // 1h ceiling, matching --coalesce-us's "surely a typo" convention.
-      if (value == nullptr || !ParseUnsignedFlag("--deadline-us", value, 3'600'000'000ull, us)) {
-        return false;
-      }
-      options.deadline_us = us;
-      options.deadline_us_set = true;
-    } else if (arg == "--request-timeout-ms") {
-      const char* value = needs_value("--request-timeout-ms");
-      unsigned long long ms = 0;
-      if (value == nullptr || !ParseUnsignedFlag("--request-timeout-ms", value, 3'600'000ull, ms)) {
-        return false;
-      }
-      options.request_timeout_ms = static_cast<unsigned>(ms);
-      options.request_timeout_set = true;
-    } else if (arg == "--retries") {
-      const char* value = needs_value("--retries");
-      unsigned long long n = 0;
-      if (value == nullptr || !ParseUnsignedFlag("--retries", value, 1000, n)) {
-        return false;
-      }
-      options.retries = static_cast<unsigned>(n);
-      options.retries_set = true;
-    } else if (arg == "--drain-ms") {
-      const char* value = needs_value("--drain-ms");
-      unsigned long long ms = 0;
-      if (value == nullptr || !ParseUnsignedFlag("--drain-ms", value, 3'600'000ull, ms)) {
-        return false;
-      }
-      options.drain_ms = static_cast<unsigned>(ms);
-      options.drain_ms_set = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg.c_str());
-      return false;
-    }
-  }
-  if (!jit::ParseJitMode(options.jit, &options.jit_mode)) {
-    std::fprintf(stderr, "bad value for --jit: %s (want on|off|auto)\n", options.jit.c_str());
-    return false;
-  }
-  // Resolve the on|off flags once, here, so every consumer reads one bool
-  // instead of re-deriving the mapping from the raw text.
-  return ParseOnOff("--steal", options.steal, options.steal_on) &&
-         ParseOnOff("--adaptive-window", options.adaptive_window, options.adaptive_window_on);
-}
-
-// --steal was parsed into steal_on by ParseArgs; --chunk range-checked too.
-DispenseOptions MakeDispense(const CliOptions& options) {
-  DispenseOptions dispense;
-  dispense.chunk_size = options.chunk;
-  dispense.mode = options.steal_on ? DispenseMode::kChunkedSteal : DispenseMode::kChunked;
-  return dispense;
-}
-
-std::unique_ptr<WalkLogic> MakeWorkload(const CliOptions& options) {
-  if (options.workload == "node2vec") {
-    return std::make_unique<Node2VecWalk>(2.0, 0.5, options.length);
-  }
-  if (options.workload == "metapath") {
-    return std::make_unique<MetaPathWalk>(std::vector<uint8_t>{0, 1, 2, 3, 4});
-  }
-  if (options.workload == "2ndpr") {
-    return std::make_unique<SecondOrderPageRankWalk>(0.2, options.length);
-  }
-  if (options.workload == "deepwalk") {
-    return std::make_unique<DeepWalk>(options.length);
-  }
-  if (options.workload == "ppr") {
-    return std::make_unique<PersonalizedPageRankWalk>(0.15, options.length);
-  }
-  if (options.workload == "temporal") {
-    return std::make_unique<TemporalWalk>(options.length);
-  }
-  if (options.workload == "temporal-decay") {
-    return std::make_unique<TemporalDecayWalk>(0.1, options.length);
-  }
-  if (options.workload == "autoregressive") {
-    return std::make_unique<AutoregressiveWalk>(0.5, options.length);
   }
   return nullptr;
 }
 
-std::unique_ptr<Engine> MakeEngine(const CliOptions& options) {
-  const std::string& name = options.engine;
+// A kFlags row named at compile time: an unknown name does not compile.
+struct FlagName {
+  size_t row;
+  consteval FlagName(const char* name) : row(0) {
+    const Flag* flag = FindFlag(name);
+    if (flag == nullptr) {
+      throw "no such flag";  // not a constant expression
+    }
+    row = static_cast<size_t>(flag - kFlags);
+  }
+};
+
+std::string_view Default(const Flag& flag) {
+  return flag.kind == Kind::kChoice ? flag.value.substr(0, flag.value.find('|')) : flag.def;
+}
+
+// The whole of `text` as an unsigned integer in [min, max]: a sign, a
+// space, trailing characters or an overflow is no value.
+std::optional<uint64_t> ParseUnsigned(std::string_view text, uint64_t min, uint64_t max) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < min || value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+// The whole of `text` as a finite, positive real.
+std::optional<double> ParseReal(std::string_view text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) || value <= 0.0) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+bool ValueOk(const Flag& flag, std::string_view text) {
+  switch (flag.kind) {
+    case Kind::kUnsigned:
+      return ParseUnsigned(text, flag.min, flag.max).has_value();
+    case Kind::kReal:
+      return ParseReal(text).has_value();
+    case Kind::kChoice:
+      for (std::string_view rest = flag.value;;) {
+        size_t bar = rest.find('|');
+        if (rest.substr(0, bar) == text) {
+          return true;
+        }
+        if (bar == std::string_view::npos) {
+          return false;
+        }
+        rest.remove_prefix(bar + 1);
+      }
+    default:
+      return true;
+  }
+}
+
+// "<min..max>", "<a|b|c>" or "<placeholder>".
+std::string Placeholder(const Flag& flag) {
+  if (flag.kind == Kind::kUnsigned) {
+    return "<" + std::to_string(flag.min) + ".." + std::to_string(flag.max) + ">";
+  }
+  return "<" + std::string(flag.value) + ">";
+}
+
+std::string ModeNames(unsigned modes) {
+  std::string names;
+  for (unsigned m = 0; m < std::size(kModeNames); ++m) {
+    if (modes & (1u << m)) {
+      names += (names.empty() ? "" : ", ") + std::string(kModeNames[m]);
+    }
+  }
+  return names;
+}
+
+// The parsed command line: the run's mode, and for each kFlags row the
+// given value (pointing into argv) or the row's default.
+struct Args {
+  unsigned mode = kOneShot;
+  bool help = false;
+  const char* given[std::size(kFlags)] = {};
+
+  bool Given(FlagName flag) const { return given[flag.row] != nullptr; }
+  std::string_view Text(FlagName flag) const {
+    return Given(flag) ? given[flag.row] : Default(kFlags[flag.row]);
+  }
+  std::string Str(FlagName flag) const { return std::string(Text(flag)); }
+  uint64_t Num(FlagName flag) const {
+    return *ParseUnsigned(Text(flag), 0, std::numeric_limits<uint64_t>::max());
+  }
+  double Real(FlagName flag) const { return *ParseReal(Text(flag)); }
+  bool On(FlagName flag) const { return Text(flag) == "on"; }
+};
+
+void PrintUsage() {
+  std::printf(
+      "flexiwalker_cli — run dynamic random walks\n\n"
+      "Modes (the column before each flag): o one-shot | b out-of-core, a one-shot run\n"
+      "given --block-bytes or --cache-blocks (first-order workloads) | s --serve |\n"
+      "l --listen | c --connect | m --connect --stats. A flag outside its modes is a\n"
+      "usage error. f: needs --engine flexiwalker. Walk paths are identical for any\n"
+      "--threads, --chunk, --steal, --wavefront and --jit. Serving: docs/SERVING.md;\n"
+      "telemetry: docs/OBSERVABILITY.md.\n\n");
+  for (const Flag& flag : kFlags) {
+    std::string line = "  ------  " + std::string(flag.name);
+    for (unsigned m = 0; m < std::size(kModeNames); ++m) {
+      line[2 + m] = (flag.modes & (1u << m)) ? "obslcm"[m] : '-';
+    }
+    line[8] = flag.flexi_only ? 'f' : ' ';
+    if (flag.kind != Kind::kSwitch) {
+      line += " " + Placeholder(flag);
+    }
+    if (std::string_view def = Default(flag); !def.empty()) {
+      line += " (default " + std::string(def) + ")";
+    }
+    std::printf("%s\n          %s\n", line.c_str(), flag.help);
+  }
+  std::printf("exit codes: 0 ok | %d usage | %d unsupported engine | %d malformed input\n",
+              kExitUsage, kExitUnsupportedEngine, kExitMalformedInput);
+}
+
+// Records each flag's value after checking it against its row, then picks
+// the run's mode. Prints why and returns false on an unknown flag, a
+// missing value or a value outside the row's range or choices.
+bool ParseArgs(int argc, char** argv, Args& args) {
+  for (int i = 1; i < argc; ++i) {
+    std::string_view arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      args.help = true;
+      return true;
+    }
+    const Flag* flag = FindFlag(arg);
+    if (flag == nullptr) {
+      std::fprintf(stderr, "unknown flag: %s (try --help)\n", argv[i]);
+      return false;
+    }
+    const char* text = "on";
+    if (flag->kind != Kind::kSwitch) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "missing value for %s\n", argv[i]);
+        return false;
+      }
+      text = argv[++i];
+    }
+    if (!ValueOk(*flag, text)) {
+      std::fprintf(stderr, "bad value for %s: %s (want %s)\n", flag->name, text,
+                   Placeholder(*flag).c_str());
+      return false;
+    }
+    args.given[flag - kFlags] = text;
+  }
+  args.mode = args.Given("--connect")  ? (args.Given("--stats") ? kStats : kConnect)
+              : args.Given("--listen") ? kListen
+              : args.Given("--serve")  ? kServe
+              : args.Given("--block-bytes") || args.Given("--cache-blocks") ? kOutOfCore
+                                                                          : kOneShot;
+  return true;
+}
+
+// Mode and engine gating in one pass over the given flags, so no flag is
+// accepted and then ignored. Returns an exit code, 0 to run.
+int CheckArgs(const Args& args) {
+  std::string engine = args.Str("--engine");
+  if ((args.mode & kServing) != 0 && engine != "flexiwalker") {
+    std::fprintf(stderr, "%s supports only --engine flexiwalker (got --engine %s)\n",
+                 args.mode == kServe ? "--serve" : "--listen", engine.c_str());
+    return kExitUnsupportedEngine;
+  }
+  for (size_t row = 0; row < std::size(kFlags); ++row) {
+    const Flag& flag = kFlags[row];
+    if (args.given[row] == nullptr) {
+      continue;
+    }
+    if ((flag.modes & args.mode) == 0) {
+      std::fprintf(stderr, "%s does not apply to %s (only to %s)\n", flag.name,
+                   ModeNames(args.mode).c_str(), ModeNames(flag.modes).c_str());
+      return kExitUsage;
+    }
+    if (flag.flexi_only && engine != "flexiwalker") {
+      std::fprintf(stderr, "%s applies only to --engine flexiwalker (got --engine %s)\n",
+                   flag.name, engine.c_str());
+      return kExitUsage;
+    }
+  }
+  return 0;
+}
+
+// The FlexiWalkerOptions of every tier: the engine, each served workload's
+// service and the out-of-core executor.
+FlexiWalkerOptions FlexiOptions(const Args& args) {
+  FlexiWalkerOptions options;
+  options.host_threads = static_cast<unsigned>(args.Num("--threads"));
+  options.cache_static_tables = args.Given("--static-cache");
+  options.dispense.chunk_size = static_cast<uint32_t>(args.Num("--chunk"));
+  options.dispense.mode = args.On("--steal") ? DispenseMode::kChunkedSteal : DispenseMode::kChunked;
+  options.wavefront = static_cast<uint32_t>(args.Num("--wavefront"));
+  jit::ParseJitMode(args.Str("--jit"), &options.jit);  // the row admits only its choices
+  options.jit_cache_dir = args.Str("--jit-cache-dir");
+  if (args.mode == kOutOfCore) {
+    // Pinned: profiling samples the whole graph, which is exactly what
+    // out-of-core execution cannot assume is loadable (out_of_core.h).
+    options.edge_cost_ratio = 4.0;
+  }
+  return options;
+}
+
+std::unique_ptr<WalkLogic> MakeWorkload(std::string_view name, uint32_t length) {
+  if (name == "node2vec") {
+    return std::make_unique<Node2VecWalk>(2.0, 0.5, length);
+  }
+  if (name == "metapath") {
+    return std::make_unique<MetaPathWalk>(std::vector<uint8_t>{0, 1, 2, 3, 4});
+  }
+  if (name == "2ndpr") {
+    return std::make_unique<SecondOrderPageRankWalk>(0.2, length);
+  }
+  if (name == "deepwalk") {
+    return std::make_unique<DeepWalk>(length);
+  }
+  if (name == "ppr") {
+    return std::make_unique<PersonalizedPageRankWalk>(0.15, length);
+  }
+  if (name == "temporal") {
+    return std::make_unique<TemporalWalk>(length);
+  }
+  if (name == "temporal-decay") {
+    return std::make_unique<TemporalDecayWalk>(0.1, length);
+  }
+  if (name == "autoregressive") {
+    return std::make_unique<AutoregressiveWalk>(0.5, length);
+  }
+  return nullptr;
+}
+
+std::unique_ptr<Engine> MakeEngine(const Args& args) {
+  std::string_view name = args.Text("--engine");
   if (name == "flexiwalker") {
-    FlexiWalkerOptions engine_options;
-    engine_options.dispense = MakeDispense(options);
-    engine_options.wavefront = options.wavefront;
-    engine_options.jit = options.jit_mode;
-    engine_options.jit_cache_dir = options.jit_cache_dir;
-    return std::make_unique<FlexiWalkerEngine>(engine_options);
+    return std::make_unique<FlexiWalkerEngine>(FlexiOptions(args));
   }
   if (name == "flowwalker") {
     return std::make_unique<FlowWalkerEngine>();
@@ -551,10 +450,7 @@ std::unique_ptr<Engine> MakeEngine(const CliOptions& options) {
   if (name == "knightking") {
     return std::make_unique<KnightKingEngine>();
   }
-  if (name == "sowalker") {
-    return std::make_unique<SOWalkerEngine>();
-  }
-  return nullptr;
+  return std::make_unique<SOWalkerEngine>();  // the --engine row's last choice
 }
 
 // One walk per line, nodes space-separated, truncated at the first
@@ -586,15 +482,12 @@ bool ParseStartsLine(const std::string& line, std::vector<NodeId>& starts,
   std::istringstream tokens(line);
   std::string token;
   while (tokens >> token) {
-    errno = 0;
-    char* end = nullptr;
-    unsigned long long id = std::strtoull(token.c_str(), &end, 10);
-    if (token[0] == '-' || end == token.c_str() || *end != '\0' || errno == ERANGE ||
-        id > std::numeric_limits<NodeId>::max()) {
+    std::optional<uint64_t> id = ParseUnsigned(token, 0, std::numeric_limits<NodeId>::max());
+    if (!id) {
       bad_token = token;
       return false;
     }
-    starts.push_back(static_cast<NodeId>(id));
+    starts.push_back(static_cast<NodeId>(*id));
   }
   return true;
 }
@@ -604,28 +497,12 @@ bool ParseStartsLine(const std::string& line, std::vector<NodeId>& starts,
 // line — until EOF or "quit". Query ids are global and monotonic across
 // batches, so the printed paths for a given seed are bit-identical however
 // the same starts are carved into lines (docs/SERVING.md).
-int Serve(const CliOptions& options, const Graph& graph, const WalkLogic& workload) {
-  if (options.engine != "flexiwalker") {
-    std::fprintf(stderr, "--serve supports only --engine flexiwalker (got --engine %s)\n",
-                 options.engine.c_str());
-    return kExitUnsupportedEngine;
-  }
-  FlexiWalkerOptions engine_options;
-  engine_options.host_threads = options.threads;
-  engine_options.cache_static_tables = options.static_cache;
-  engine_options.dispense = MakeDispense(options);
-  engine_options.wavefront = options.wavefront;
-  engine_options.jit = options.jit_mode;
-  engine_options.jit_cache_dir = options.jit_cache_dir;
+int Serve(const Args& args, const Graph& graph, const WalkLogic& workload, std::ofstream& out) {
   auto service =
-      MakeFlexiWalkerService(graph, workload, engine_options, options.seed, options.pipeline);
+      MakeFlexiWalkerService(graph, workload, FlexiOptions(args), args.Num("--seed"),
+                             static_cast<unsigned>(args.Num("--pipeline")));
   std::printf("serving on %u workers | one batch per line of start-node ids | EOF or \"quit\" ends\n",
               service->num_threads());
-
-  std::ofstream out;
-  if (!options.out_path.empty()) {
-    out.open(options.out_path);
-  }
   std::string line;
   while (std::getline(std::cin, line)) {
     if (line == "quit") {
@@ -663,13 +540,9 @@ int Serve(const CliOptions& options, const Graph& graph, const WalkLogic& worklo
       WriteWalks(out, result.walk);
     }
   }
-  uint64_t queries = service->queries_submitted();
-  uint64_t batches = service->batches_completed();
-  std::printf("served %llu queries in %llu batches\n", static_cast<unsigned long long>(queries),
-              static_cast<unsigned long long>(batches));
-  if (out.is_open()) {
-    std::printf("walks written : %s\n", options.out_path.c_str());
-  }
+  std::printf("served %llu queries in %llu batches\n",
+              static_cast<unsigned long long>(service->queries_submitted()),
+              static_cast<unsigned long long>(service->batches_completed()));
   return 0;
 }
 
@@ -684,8 +557,8 @@ struct WorkloadSpec {
 // Parses "name[:admit=<n>][:overflow=<block|reject>],..." — every name must
 // be a known workload, names must be unique (each is a routing key), and
 // "default" is reserved for the primary --workload at id 0.
-bool ParseWorkloadSpecs(const CliOptions& options, std::vector<WorkloadSpec>& specs) {
-  std::string text = options.workloads;
+bool ParseWorkloadSpecs(const Args& args, std::vector<WorkloadSpec>& specs) {
+  std::string text = args.Str("--workloads");
   size_t pos = 0;
   while (pos <= text.size()) {
     size_t comma = text.find(',', pos);
@@ -697,8 +570,8 @@ bool ParseWorkloadSpecs(const CliOptions& options, std::vector<WorkloadSpec>& sp
       return false;
     }
     WorkloadSpec spec;
-    spec.admit = options.admit;
-    spec.overflow = options.overflow;
+    spec.admit = args.Num("--admit");
+    spec.overflow = args.Str("--overflow");
     size_t field = 0;
     size_t colon = entry.find(':');
     spec.name = entry.substr(0, colon);
@@ -708,13 +581,13 @@ bool ParseWorkloadSpecs(const CliOptions& options, std::vector<WorkloadSpec>& sp
       std::string suffix = entry.substr(field, colon == std::string::npos ? std::string::npos
                                                                           : colon - field);
       if (suffix.rfind("admit=", 0) == 0) {
-        unsigned long long n = 0;
-        if (!ParseUnsignedFlag("--workloads admit", suffix.c_str() + 6, 1ull << 32, n) ||
-            n == 0) {
+        std::optional<uint64_t> n =
+            ParseUnsigned(std::string_view(suffix).substr(6), 1, 1ull << 32);
+        if (!n) {
           std::fprintf(stderr, "bad --workloads entry: %s\n", entry.c_str());
           return false;
         }
-        spec.admit = static_cast<size_t>(n);
+        spec.admit = static_cast<size_t>(*n);
       } else if (suffix.rfind("overflow=", 0) == 0) {
         spec.overflow = suffix.substr(9);
         if (spec.overflow != "block" && spec.overflow != "reject") {
@@ -740,9 +613,7 @@ bool ParseWorkloadSpecs(const CliOptions& options, std::vector<WorkloadSpec>& sp
         return false;
       }
     }
-    CliOptions probe = options;
-    probe.workload = spec.name;
-    if (MakeWorkload(probe) == nullptr) {
+    if (MakeWorkload(spec.name, 1) == nullptr) {
       std::fprintf(stderr, "bad --workloads entry: unknown workload %s\n", spec.name.c_str());
       return false;
     }
@@ -767,28 +638,21 @@ bool WriteMetricsFile(const std::string& path) {
 // or "quit". Requests coalesce into scheduler-sized batches under the
 // configured window/threshold, with admission backpressure; see
 // docs/SERVING.md ("Network serving").
-int Listen(const CliOptions& options, const Graph& graph, const WalkLogic& workload) {
-  if (options.engine != "flexiwalker") {
-    std::fprintf(stderr, "--listen supports only --engine flexiwalker (got --engine %s)\n",
-                 options.engine.c_str());
-    return kExitUnsupportedEngine;
-  }
-  if (options.overflow != "block" && options.overflow != "reject") {
-    std::fprintf(stderr, "unknown --overflow value: %s (want block|reject)\n",
-                 options.overflow.c_str());
-    return kExitUsage;
-  }
+int Listen(const Args& args, const Graph& graph, const WalkLogic& workload) {
   std::vector<WorkloadSpec> specs;
-  if (!options.workloads.empty() && !ParseWorkloadSpecs(options, specs)) {
+  if (args.Given("--workloads") && !ParseWorkloadSpecs(args, specs)) {
     return kExitUsage;
   }
+  const std::string metrics_out = args.Str("--metrics-out");
+  const std::string trace_out = args.Str("--trace-out");
+  const unsigned drain_ms = static_cast<unsigned>(args.Num("--drain-ms"));
   // Telemetry and signal setup, before any serving thread spawns: the
   // handled signals must be blocked process-wide (threads inherit the mask)
   // so only the dedicated sigwait thread sees them — SIGUSR1 scrapes
   // --metrics-out, SIGTERM/SIGINT drain the server gracefully — and the
   // trace ring must be live before the first request records a span. The
   // thread itself spawns after the server starts (it drives BeginDrain).
-  if (!options.trace_out.empty()) {
+  if (!trace_out.empty()) {
     obs::TraceRing::Global().Enable(1 << 16);
   }
   sigset_t handled_signals;
@@ -800,23 +664,18 @@ int Listen(const CliOptions& options, const Graph& graph, const WalkLogic& workl
   std::thread signal_thread;
   std::atomic<bool> signal_thread_stop{false};
   std::atomic<bool> drain_requested{false};
-  FlexiWalkerOptions engine_options;
-  engine_options.host_threads = options.threads;
-  engine_options.cache_static_tables = options.static_cache;
-  engine_options.dispense = MakeDispense(options);
-  engine_options.wavefront = options.wavefront;
-  engine_options.jit = options.jit_mode;
-  engine_options.jit_cache_dir = options.jit_cache_dir;
-  auto service =
-      MakeFlexiWalkerService(graph, workload, engine_options, options.seed, options.pipeline);
+  const FlexiWalkerOptions engine_options = FlexiOptions(args);
+  const uint64_t seed = args.Num("--seed");
+  const unsigned pipeline = static_cast<unsigned>(args.Num("--pipeline"));
+  auto service = MakeFlexiWalkerService(graph, workload, engine_options, seed, pipeline);
 
   WalkServer::Options server_options;
-  server_options.port = static_cast<uint16_t>(options.listen_port);
-  server_options.coalescer.max_delay_ms = options.coalesce_us / 1000.0;
-  server_options.coalescer.adaptive_window = options.adaptive_window_on;
-  server_options.coalescer.max_batch_queries = options.max_batch;
-  server_options.coalescer.max_outstanding_queries = options.admit;
-  server_options.coalescer.overflow = options.overflow == "reject"
+  server_options.port = static_cast<uint16_t>(args.Num("--listen"));
+  server_options.coalescer.max_delay_ms = args.Num("--coalesce-us") / 1000.0;
+  server_options.coalescer.adaptive_window = args.On("--adaptive-window");
+  server_options.coalescer.max_batch_queries = args.Num("--max-batch");
+  server_options.coalescer.max_outstanding_queries = args.Num("--admit");
+  server_options.coalescer.overflow = args.Text("--overflow") == "reject"
                                           ? BatchCoalescer::OverflowPolicy::kReject
                                           : BatchCoalescer::OverflowPolicy::kBlock;
   WalkServer server(*service, graph.num_nodes(), server_options);
@@ -828,11 +687,9 @@ int Listen(const CliOptions& options, const Graph& graph, const WalkLogic& workl
   std::vector<std::unique_ptr<WalkService>> extra_services;
   for (size_t i = 0; i < specs.size(); ++i) {
     const WorkloadSpec& spec = specs[i];
-    CliOptions spec_options = options;
-    spec_options.workload = spec.name;
-    extra_logics.push_back(MakeWorkload(spec_options));
+    extra_logics.push_back(MakeWorkload(spec.name, static_cast<uint32_t>(args.Num("--length"))));
     extra_services.push_back(MakeFlexiWalkerService(graph, *extra_logics.back(), engine_options,
-                                                    options.seed + i + 1, options.pipeline));
+                                                    seed + i + 1, pipeline));
     BatchCoalescer::Options admission = server_options.coalescer;
     admission.max_outstanding_queries = spec.admit;
     admission.overflow = spec.overflow == "reject" ? BatchCoalescer::OverflowPolicy::kReject
@@ -851,15 +708,15 @@ int Listen(const CliOptions& options, const Graph& graph, const WalkLogic& workl
       pthread_kill(signal_thread.native_handle(), SIGUSR1);
       signal_thread.join();
     }
-    if (!options.metrics_out.empty() && WriteMetricsFile(options.metrics_out)) {
-      std::printf("metrics written: %s\n", options.metrics_out.c_str());
+    if (!metrics_out.empty() && WriteMetricsFile(metrics_out)) {
+      std::printf("metrics written: %s\n", metrics_out.c_str());
     }
-    if (!options.trace_out.empty()) {
-      if (obs::TraceRing::Global().WriteChromeTrace(options.trace_out)) {
-        std::printf("trace written  : %s (%zu spans)\n", options.trace_out.c_str(),
+    if (!trace_out.empty()) {
+      if (obs::TraceRing::Global().WriteChromeTrace(trace_out)) {
+        std::printf("trace written  : %s (%zu spans)\n", trace_out.c_str(),
                     obs::TraceRing::Global().Snapshot().size());
       } else {
-        std::fprintf(stderr, "cannot write --trace-out file: %s\n", options.trace_out.c_str());
+        std::fprintf(stderr, "cannot write --trace-out file: %s\n", trace_out.c_str());
       }
       obs::TraceRing::Global().Disable();
     }
@@ -870,8 +727,8 @@ int Listen(const CliOptions& options, const Graph& graph, const WalkLogic& workl
     finish_telemetry();
     return kExitUsage;
   }
-  signal_thread = std::thread([&options, &server, &signal_thread_stop, &drain_requested,
-                               &handled_signals] {
+  signal_thread = std::thread([&metrics_out, drain_ms, &server, &signal_thread_stop,
+                               &drain_requested, &handled_signals] {
     for (;;) {
       int sig = 0;
       if (sigwait(&handled_signals, &sig) != 0) {
@@ -881,8 +738,8 @@ int Listen(const CliOptions& options, const Graph& graph, const WalkLogic& workl
         return;  // shutdown poke from Listen's exit path
       }
       if (sig == SIGUSR1) {
-        if (!options.metrics_out.empty() && WriteMetricsFile(options.metrics_out)) {
-          std::fprintf(stderr, "metrics written: %s\n", options.metrics_out.c_str());
+        if (!metrics_out.empty() && WriteMetricsFile(metrics_out)) {
+          std::fprintf(stderr, "metrics written: %s\n", metrics_out.c_str());
         }
         continue;
       }
@@ -891,16 +748,18 @@ int Listen(const CliOptions& options, const Graph& graph, const WalkLogic& workl
       // BeginDrain ends in Stop(), so by the time drain_requested becomes
       // visible the server is fully down and the main thread's own Stop()
       // is a no-op; telemetry is then flushed on the normal exit path.
-      std::fprintf(stderr, "signal %d: draining (grace %u ms)\n", sig, options.drain_ms);
-      server.BeginDrain(std::chrono::milliseconds(options.drain_ms));
+      std::fprintf(stderr, "signal %d: draining (grace %u ms)\n", sig, drain_ms);
+      server.BeginDrain(std::chrono::milliseconds(drain_ms));
       drain_requested.store(true, std::memory_order_release);
     }
   });
   std::printf(
-      "listening on 127.0.0.1:%u | %u workers | coalesce window %u us | max batch %zu | "
+      "listening on 127.0.0.1:%u | %u workers | coalesce window %llu us | max batch %llu | "
       "pipeline %u | overflow %s | EOF or \"quit\" stops\n",
-      server.port(), service->num_threads(), options.coalesce_us, options.max_batch,
-      service->pipeline_depth(), options.overflow.c_str());
+      server.port(), service->num_threads(),
+      static_cast<unsigned long long>(args.Num("--coalesce-us")),
+      static_cast<unsigned long long>(args.Num("--max-batch")), service->pipeline_depth(),
+      args.Str("--overflow").c_str());
   std::fflush(stdout);
 
   // Wait for an operator stop — stdin EOF or "quit" (interactive and script
@@ -943,35 +802,35 @@ int Listen(const CliOptions& options, const Graph& graph, const WalkLogic& workl
 
 // --connect: forward stdin batches to a WalkServer and print each result,
 // mirroring serve-mode output so scripts can treat the two alike.
-int Client(const CliOptions& options) {
+int Client(const Args& args, std::ofstream& out) {
+  const std::string connect = args.Str("--connect");
   std::string host = "127.0.0.1";
-  std::string port_text = options.connect;
-  if (size_t colon = options.connect.rfind(':'); colon != std::string::npos) {
-    host = options.connect.substr(0, colon);
-    port_text = options.connect.substr(colon + 1);
+  std::string port_text = connect;
+  if (size_t colon = connect.rfind(':'); colon != std::string::npos) {
+    host = connect.substr(0, colon);
+    port_text = connect.substr(colon + 1);
   }
-  unsigned long long port = 0;
-  if (!ParseUnsignedFlag("--connect", port_text.c_str(), 65535, port)) {
-    return kExitUsage;
-  }
-  if (port == 0) {
-    std::fprintf(stderr, "bad value for --connect: %s (port 0)\n", options.connect.c_str());
+  std::optional<uint64_t> port = ParseUnsigned(port_text, 1, 65535);
+  if (!port) {
+    std::fprintf(stderr, "bad value for --connect: %s (want [host:]port, port 1..65535)\n",
+                 connect.c_str());
     return kExitUsage;
   }
   WalkClient::Options client_options;
-  client_options.connect_timeout_ms = options.request_timeout_ms;
-  client_options.request_timeout_ms = options.request_timeout_ms;
-  client_options.max_retries = options.retries;
-  client_options.backoff.seed = options.seed;  // reproducible retry delays
+  client_options.connect_timeout_ms = static_cast<uint32_t>(args.Num("--request-timeout-ms"));
+  client_options.request_timeout_ms = client_options.connect_timeout_ms;
+  client_options.max_retries = static_cast<uint32_t>(args.Num("--retries"));
+  client_options.backoff.seed = args.Num("--seed");  // reproducible retry delays
   WalkClient client(client_options);
   std::string error;
-  if (!client.Connect(host, static_cast<uint16_t>(port), &error)) {
-    std::fprintf(stderr, "cannot connect to %s:%llu: %s\n", host.c_str(), port, error.c_str());
+  if (!client.Connect(host, static_cast<uint16_t>(*port), &error)) {
+    std::fprintf(stderr, "cannot connect to %s:%llu: %s\n", host.c_str(),
+                 static_cast<unsigned long long>(*port), error.c_str());
     return kExitUsage;
   }
   // --stats: one scrape, print the Prometheus text verbatim, done. Scripts
   // pipe this through grep (scripts/ci smoke, docs/OBSERVABILITY.md).
-  if (options.stats) {
+  if (args.mode == kStats) {
     try {
       std::string text = client.FetchStats();
       std::fwrite(text.data(), 1, text.size(), stdout);
@@ -983,10 +842,8 @@ int Client(const CliOptions& options) {
     client.Close();
     return 0;
   }
-  std::ofstream out;
-  if (!options.out_path.empty()) {
-    out.open(options.out_path);
-  }
+  const uint32_t workload_id = static_cast<uint32_t>(args.Num("--workload-id"));
+  const uint64_t deadline_us = args.Num("--deadline-us");
   uint64_t requests = 0;
   uint64_t queries = 0;
   std::string line;
@@ -1005,8 +862,7 @@ int Client(const CliOptions& options) {
       continue;
     }
     try {
-      WalkClient::Result result =
-          client.Walk(std::move(starts), options.workload_id, options.deadline_us);
+      WalkClient::Result result = client.Walk(std::move(starts), workload_id, deadline_us);
       std::printf("request %llu: %zu queries | qid [%llu, %llu)\n",
                   static_cast<unsigned long long>(requests), result.num_queries,
                   static_cast<unsigned long long>(result.first_query_id),
@@ -1028,170 +884,88 @@ int Client(const CliOptions& options) {
   client.Close();
   std::printf("received %llu results (%llu walks)\n", static_cast<unsigned long long>(requests),
               static_cast<unsigned long long>(queries));
-  if (out.is_open()) {
-    std::printf("walks written : %s\n", options.out_path.c_str());
-  }
   return 0;
 }
 
-int Run(const CliOptions& options) {
-  // The coalescer — and therefore the adaptive window — exists only in the
-  // TCP server; reject rather than silently ignore the flag elsewhere.
-  if (options.adaptive_window_set && options.listen_port < 0) {
-    std::fprintf(stderr, "--adaptive-window applies only to --listen mode\n");
-    return kExitUsage;
-  }
-  // Workload registration exists only on the TCP server; workload routing
-  // only in the client. Reject rather than ignore.
-  if (!options.workloads.empty() && options.listen_port < 0) {
-    std::fprintf(stderr, "--workloads applies only to --listen mode\n");
-    return kExitUsage;
-  }
-  if (options.workload_id_set && options.connect.empty()) {
-    std::fprintf(stderr, "--workload-id applies only to --connect mode\n");
-    return kExitUsage;
-  }
-  if (options.stats && options.connect.empty()) {
-    std::fprintf(stderr, "--stats applies only to --connect mode\n");
-    return kExitUsage;
-  }
-  if ((!options.metrics_out.empty() || !options.trace_out.empty()) && options.listen_port < 0) {
-    std::fprintf(stderr, "--metrics-out/--trace-out apply only to --listen mode\n");
-    return kExitUsage;
-  }
-  // Deadlines, local timeouts, and retries are client-side request options;
-  // the drain grace belongs to the server. Reject rather than ignore.
-  if ((options.deadline_us_set || options.request_timeout_set || options.retries_set) &&
-      options.connect.empty()) {
-    std::fprintf(stderr,
-                 "--deadline-us/--request-timeout-ms/--retries apply only to --connect mode\n");
-    return kExitUsage;
-  }
-  if (options.drain_ms_set && options.listen_port < 0) {
-    std::fprintf(stderr, "--drain-ms applies only to --listen mode\n");
-    return kExitUsage;
-  }
-  // The out-of-core tier exists only behind the flexiwalker engine (the
-  // baselines have no block-cached path) and only for one-shot runs — the
-  // serving modes keep the graph resident for the process lifetime, so a
-  // block cache would bound nothing.
-  if (options.out_of_core) {
-    if (options.engine != "flexiwalker") {
-      std::fprintf(stderr,
-                   "--block-bytes/--cache-blocks apply only to --engine flexiwalker "
-                   "(got --engine %s)\n",
-                   options.engine.c_str());
-      return kExitUsage;
-    }
-    if (options.serve || options.listen_port >= 0 || !options.connect.empty()) {
-      std::fprintf(stderr,
-                   "--block-bytes/--cache-blocks apply only to one-shot runs "
-                   "(not --serve/--listen/--connect)\n");
-      return kExitUsage;
-    }
-  }
-  // Client mode talks to a remote server: no graph, workload, or engine is
-  // built locally (the server validates start ids against its own graph).
-  if (!options.connect.empty()) {
-    return Client(options);
-  }
+// Builds the graph and workload, then serves them (--serve, --listen) or
+// walks them once, in memory or out of core.
+int RunLocal(const Args& args, std::ofstream& out) {
   // Every engine executes through the WalkScheduler; this sets its
   // process-wide worker count (0 keeps the hardware default).
-  SetDefaultWorkerThreads(options.threads);
-
-  WeightDistribution dist = WeightDistribution::kUniform;
-  if (options.weights == "pareto") {
-    dist = WeightDistribution::kPareto;
-  } else if (options.weights == "degree") {
-    dist = WeightDistribution::kDegreeBased;
-  } else if (options.weights == "none") {
-    dist = WeightDistribution::kUnweighted;
-  } else if (options.weights != "uniform") {
-    std::fprintf(stderr, "unknown --weights value: %s\n", options.weights.c_str());
-    return 1;
-  }
-
+  SetDefaultWorkerThreads(static_cast<unsigned>(args.Num("--threads")));
+  const uint64_t seed = args.Num("--seed");
+  std::string_view weights = args.Text("--weights");
+  WeightDistribution dist = weights == "pareto"   ? WeightDistribution::kPareto
+                            : weights == "degree" ? WeightDistribution::kDegreeBased
+                            : weights == "none"   ? WeightDistribution::kUnweighted
+                                                  : WeightDistribution::kUniform;
   Graph graph;
-  if (!options.graph_path.empty()) {
-    graph = ReadEdgeListFile(options.graph_path);
+  if (args.Given("--graph")) {
+    const std::string path = args.Str("--graph");
+    std::ifstream in(path);
+    if (!in) {
+      std::fprintf(stderr, "cannot open --graph file: %s\n", path.c_str());
+      return kExitUsage;
+    }
+    try {
+      graph = ReadEdgeList(in);
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "bad --graph file %s: %s\n", path.c_str(), e.what());
+      return in.bad() ? kExitUsage : kExitMalformedInput;
+    }
+    if (graph.num_nodes() == 0) {
+      std::fprintf(stderr, "bad --graph file %s: no edges\n", path.c_str());
+      return kExitMalformedInput;
+    }
     if (!graph.weighted() && dist != WeightDistribution::kUnweighted) {
-      AssignWeights(graph, dist, options.alpha, options.seed + 1);
+      AssignWeights(graph, dist, args.Real("--alpha"), seed + 1);
     }
     if (!graph.labeled()) {
-      AssignLabels(graph, 5, options.seed + 2);
+      AssignLabels(graph, 5, seed + 2);
     }
   } else {
-    graph = LoadDataset(DatasetByName(options.dataset), dist, options.alpha);
+    graph = LoadDataset(DatasetByName(args.Str("--dataset")), dist, args.Real("--alpha"));
   }
-  if ((options.workload == "temporal" || options.workload == "temporal-decay") &&
-      !graph.temporal()) {
-    AssignTimestamps(graph, 1.0f, options.seed + 3);
+  std::string_view workload_name = args.Text("--workload");
+  if ((workload_name == "temporal" || workload_name == "temporal-decay") && !graph.temporal()) {
+    AssignTimestamps(graph, 1.0f, seed + 3);
   }
-
-  std::unique_ptr<WalkLogic> workload = MakeWorkload(options);
-  if (workload == nullptr) {
-    std::fprintf(stderr, "unknown --workload: %s\n", options.workload.c_str());
-    return 1;
+  std::unique_ptr<WalkLogic> workload =
+      MakeWorkload(workload_name, static_cast<uint32_t>(args.Num("--length")));
+  if (args.mode == kListen) {
+    return Listen(args, graph, *workload);
   }
-  if (options.listen_port >= 0) {
-    return Listen(options, graph, *workload);
+  if (args.mode == kServe) {
+    return Serve(args, graph, *workload, out);
   }
-  if (options.serve) {
-    return Serve(options, graph, *workload);
-  }
-  // The baseline engines build their own SchedulerOptions internally, so
-  // the dispensation/wavefront flags cannot reach them; reject rather than
-  // silently run with the defaults the user just tried to override.
-  if ((options.dispense_set || options.wavefront_set || options.jit_set ||
-       options.jit_cache_dir_set) &&
-      options.engine != "flexiwalker") {
-    std::fprintf(stderr,
-                 "--chunk/--steal/--wavefront/--jit/--jit-cache-dir apply only to "
-                 "--engine flexiwalker (they tune both its execution tiers, the in-memory "
-                 "scheduler and the out-of-core block executor; got --engine %s)\n",
-                 options.engine.c_str());
-    return kExitUsage;
-  }
-  std::unique_ptr<Engine> engine = MakeEngine(options);
-  if (engine == nullptr) {
-    std::fprintf(stderr, "unknown --engine: %s\n", options.engine.c_str());
-    return 1;
-  }
+  std::unique_ptr<Engine> engine = MakeEngine(args);
 
   std::vector<NodeId> starts = AllNodesAsStarts(graph);
-  if (options.queries != 0 && options.queries < starts.size()) {
-    starts.resize(options.queries);
+  const uint64_t queries = args.Num("--queries");
+  if (queries != 0 && queries < starts.size()) {
+    starts.resize(queries);
   }
-
+  const bool out_of_core = args.mode == kOutOfCore;
   std::printf(
       "graph: %u nodes / %llu edges | workload: %s | engine: %s%s | queries: %zu | threads: %u\n",
       graph.num_nodes(), static_cast<unsigned long long>(graph.num_edges()),
-      workload->name().c_str(), engine->name().c_str(),
-      options.out_of_core ? " (out-of-core)" : "", starts.size(), DefaultWorkerThreads());
+      workload->name().c_str(), engine->name().c_str(), out_of_core ? " (out-of-core)" : "",
+      starts.size(), DefaultWorkerThreads());
   WalkResult result;
-  if (options.out_of_core) {
-    // Partition to a throwaway block file and walk it under the bounded
-    // cache. The cost ratio is pinned: profiling samples the whole graph,
-    // which is exactly what out-of-core execution cannot assume is
-    // loadable (out_of_core.h).
+  if (out_of_core) {
+    // Partition to a throwaway block file and walk it under the bounded cache.
     const std::string block_path =
         "/tmp/flexiwalker_cli_" + std::to_string(getpid()) + ".blk";
-    size_t blocks = PartitionToBlockFile(graph, block_path, options.block_bytes);
+    const auto cache_blocks = static_cast<uint32_t>(args.Num("--cache-blocks"));
+    size_t blocks = PartitionToBlockFile(graph, block_path, args.Num("--block-bytes"));
     BlockStore store = BlockStore::Open(block_path);
-    FlexiWalkerOptions engine_options;
-    engine_options.dispense = MakeDispense(options);
-    engine_options.wavefront = options.wavefront;
-    engine_options.jit = options.jit_mode;
-    engine_options.jit_cache_dir = options.jit_cache_dir;
-    engine_options.edge_cost_ratio = 4.0;
     OutOfCoreStats ooc_stats;
     std::printf("out-of-core   : %zu blocks of <= %zu bytes | cache %u blocks (%.2f MiB budget)\n",
-                blocks, store.block_bytes(), options.cache_blocks,
-                options.cache_blocks * static_cast<double>(store.block_bytes()) /
-                    (1024.0 * 1024.0));
+                blocks, store.block_bytes(), cache_blocks,
+                cache_blocks * static_cast<double>(store.block_bytes()) / (1024.0 * 1024.0));
     try {
-      result = RunFlexiWalkerOutOfCore(store, *workload, engine_options, options.cache_blocks,
-                                       starts, options.seed, &ooc_stats);
+      result = RunFlexiWalkerOutOfCore(store, *workload, FlexiOptions(args), cache_blocks, starts,
+                                       seed, &ooc_stats);
     } catch (const std::invalid_argument& e) {
       // Second-order workloads (node2vec, 2ndpr) probe the previous node's
       // row, which block residency of the current node cannot serve.
@@ -1209,7 +983,7 @@ int Run(const CliOptions& options) {
                 ooc_stats.bytes_read / (1024.0 * 1024.0),
                 static_cast<unsigned long long>(ooc_stats.bytes_read));
   } else {
-    result = engine->Run(graph, *workload, starts, options.seed);
+    result = engine->Run(graph, *workload, starts, seed);
   }
 
   uint64_t steps = 0;
@@ -1231,26 +1005,49 @@ int Run(const CliOptions& options) {
   std::printf("simulated time: %.3f ms\n", result.sim_ms);
   std::printf("energy        : %.4f J\n", result.joules);
   std::printf("hottest node  : %u (%.3f%% of visits)\n", hottest, freq[hottest] * 100.0);
-
-  if (!options.out_path.empty()) {
-    std::ofstream out(options.out_path);
+  if (out.is_open()) {
     WriteWalks(out, result);
-    std::printf("walks written : %s\n", options.out_path.c_str());
   }
   return 0;
+}
+
+// Gates the flags, opens --out once before any walk, runs the mode, and
+// reports the walk file only when every line of it was written.
+int Run(const Args& args) {
+  if (int code = CheckArgs(args); code != 0) {
+    return code;
+  }
+  const std::string out_path = args.Str("--out");
+  std::ofstream out;
+  if (args.Given("--out")) {
+    out.open(out_path);
+    if (!out.is_open()) {
+      std::fprintf(stderr, "cannot write --out file: %s\n", out_path.c_str());
+      return kExitUsage;
+    }
+  }
+  int code = (args.mode & kClient) != 0 ? Client(args, out) : RunLocal(args, out);
+  if (code == 0 && out.is_open()) {
+    if (!out.flush()) {
+      std::fprintf(stderr, "cannot write --out file: %s\n", out_path.c_str());
+      return kExitUsage;
+    }
+    std::printf("walks written : %s\n", out_path.c_str());
+  }
+  return code;
 }
 
 }  // namespace
 }  // namespace flexi
 
 int main(int argc, char** argv) {
-  flexi::CliOptions options;
-  if (!flexi::ParseArgs(argc, argv, options)) {
-    return 1;
+  flexi::Args args;
+  if (!flexi::ParseArgs(argc, argv, args)) {
+    return flexi::kExitUsage;
   }
-  if (options.help) {
+  if (args.help) {
     flexi::PrintUsage();
     return 0;
   }
-  return flexi::Run(options);
+  return flexi::Run(args);
 }

@@ -14,11 +14,10 @@
 //   payload  per block, tightly packed: adjacency NodeId[], then weights
 //            float[], labels uint8[], timestamps float[] when present
 //
-// All fields are little-endian host-width PODs, same convention as the
-// binary CSR container in io.cc. A node whose single row exceeds the budget
-// gets a block of its own (the block is simply bigger than block_bytes);
-// every node lives in exactly one block and blocks cover [0, num_nodes) in
-// order.
+// All fields are little-endian host-width PODs. A node whose single row
+// exceeds the budget gets a block of its own (the block is simply bigger
+// than block_bytes); every node lives in exactly one block and blocks cover
+// [0, num_nodes) in order.
 //
 // BlockStore opens such a file, keeps the header + row_ptr + index resident
 // beside a node -> block array built from the index (4 bytes per node, so
@@ -46,7 +45,6 @@ namespace flexi {
 // syscall overhead dwarf the payload, and CLI typos (e.g. "--block-bytes 0")
 // must not produce a one-edge-per-block file.
 inline constexpr size_t kMinBlockBytes = 1024;
-inline constexpr size_t kDefaultBlockBytes = size_t{4} << 20;
 
 struct BlockMeta {
   NodeId first_node = 0;

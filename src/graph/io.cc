@@ -6,10 +6,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
-#include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -17,8 +17,6 @@
 
 namespace flexi {
 namespace {
-
-constexpr std::array<char, 8> kMagic = {'F', 'X', 'W', 'G', 'R', 'P', 'H', '1'};
 
 struct ParsedEdge {
   NodeId src;
@@ -33,38 +31,14 @@ struct ParsedEdge {
                            line);
 }
 
+// The whole token as a number of type T, or false: from_chars takes no sign
+// for unsigned types, no leading space and no trailing characters, and
+// reports values out of T's range.
 template <typename T>
-void WriteRaw(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-void WriteVec(std::ostream& out, const std::vector<T>& vec) {
-  uint64_t n = vec.size();
-  WriteRaw(out, n);
-  out.write(reinterpret_cast<const char*>(vec.data()),
-            static_cast<std::streamsize>(n * sizeof(T)));
-}
-
-template <typename T>
-T ReadRaw(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) {
-    throw std::runtime_error("truncated binary graph");
-  }
-  return value;
-}
-
-template <typename T>
-std::vector<T> ReadVec(std::istream& in) {
-  auto n = ReadRaw<uint64_t>(in);
-  std::vector<T> vec(n);
-  in.read(reinterpret_cast<char*>(vec.data()), static_cast<std::streamsize>(n * sizeof(T)));
-  if (!in) {
-    throw std::runtime_error("truncated binary graph");
-  }
-  return vec;
+bool ParseToken(const std::string& token, T& out) {
+  const char* end = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
@@ -76,52 +50,61 @@ Graph ReadEdgeList(std::istream& in, NodeId num_nodes) {
   bool any_weight = false;
   bool any_label = false;
 
-  auto map_id = [&](uint64_t raw, size_t line_no, const std::string& line) -> NodeId {
-    if (dense) {
-      if (raw >= num_nodes) {
-        Malformed(line_no, line);
-      }
-      return static_cast<NodeId>(raw);
+  auto map_id = [&](const std::string& token, size_t line_no, const std::string& line) -> NodeId {
+    NodeId raw = 0;
+    if (!ParseToken(token, raw) || (dense && raw >= num_nodes)) {
+      Malformed(line_no, line);
     }
-    auto [it, inserted] = remap.try_emplace(static_cast<NodeId>(raw),
-                                            static_cast<NodeId>(remap.size()));
-    (void)inserted;
-    return it->second;
+    if (dense) {
+      return raw;
+    }
+    return remap.try_emplace(raw, static_cast<NodeId>(remap.size())).first->second;
   };
 
   std::string line;
   size_t line_no = 0;
+  std::vector<std::string> tokens;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') {
       continue;
     }
+    tokens.clear();
     std::istringstream fields(line);
-    uint64_t src_raw = 0;
-    uint64_t dst_raw = 0;
-    if (!(fields >> src_raw >> dst_raw)) {
+    for (std::string token; fields >> token;) {
+      tokens.push_back(std::move(token));
+    }
+    if (tokens.size() < 2 || tokens.size() > 4) {
       Malformed(line_no, line);
     }
     ParsedEdge edge{};
     edge.label = -1;
     edge.weight = 1.0f;
-    double w = 0.0;
-    if (fields >> w) {
+    if (tokens.size() >= 3) {
+      // Bounded as a float: a finite double such as 1e39 has no finite
+      // float, and NaN fails both comparisons.
+      double w = 0.0;
+      if (!ParseToken(tokens[2], w) || !(w >= 0.0 && w <= std::numeric_limits<float>::max())) {
+        Malformed(line_no, line);
+      }
       edge.weight = static_cast<float>(w);
       edge.has_weight = true;
       any_weight = true;
-      int label = 0;
-      if (fields >> label) {
-        if (label < 0 || label > 255) {
-          Malformed(line_no, line);
-        }
-        edge.label = label;
-        any_label = true;
-      }
     }
-    edge.src = map_id(src_raw, line_no, line);
-    edge.dst = map_id(dst_raw, line_no, line);
+    if (tokens.size() == 4) {
+      uint8_t label = 0;
+      if (!ParseToken(tokens[3], label)) {
+        Malformed(line_no, line);
+      }
+      edge.label = label;
+      any_label = true;
+    }
+    edge.src = map_id(tokens[0], line_no, line);
+    edge.dst = map_id(tokens[1], line_no, line);
     edges.push_back(edge);
+  }
+  if (in.bad()) {  // a read error, not the end: the lines so far are only part of the graph
+    throw std::runtime_error("edge list read failed after line " + std::to_string(line_no));
   }
 
   NodeId n = dense ? num_nodes : static_cast<NodeId>(remap.size());
@@ -167,14 +150,6 @@ Graph ReadEdgeList(std::istream& in, NodeId num_nodes) {
   return graph;
 }
 
-Graph ReadEdgeListFile(const std::string& path, NodeId num_nodes) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("cannot open " + path);
-  }
-  return ReadEdgeList(in, num_nodes);
-}
-
 void WriteEdgeList(const Graph& graph, std::ostream& out) {
   out << "# nodes " << graph.num_nodes() << " edges " << graph.num_edges() << "\n";
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
@@ -190,89 +165,6 @@ void WriteEdgeList(const Graph& graph, std::ostream& out) {
       out << '\n';
     }
   }
-}
-
-void WriteEdgeListFile(const Graph& graph, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("cannot open " + path);
-  }
-  WriteEdgeList(graph, out);
-}
-
-void WriteBinary(const Graph& graph, std::ostream& out) {
-  out.write(kMagic.data(), kMagic.size());
-  WriteRaw<uint32_t>(out, graph.num_nodes());
-  WriteRaw<uint64_t>(out, graph.num_edges());
-  WriteRaw<uint8_t>(out, graph.weighted() ? 1 : 0);
-  WriteRaw<uint8_t>(out, graph.labeled() ? graph.num_labels() : 0);
-
-  // Reconstruct row_ptr from degrees (Graph does not expose it raw).
-  std::vector<EdgeId> row_ptr(static_cast<size_t>(graph.num_nodes()) + 1, 0);
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    row_ptr[v + 1] = row_ptr[v] + graph.Degree(v);
-  }
-  WriteVec(out, row_ptr);
-  std::vector<NodeId> col_idx(graph.num_edges());
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    for (uint32_t i = 0; i < graph.Degree(v); ++i) {
-      col_idx[graph.EdgesBegin(v) + i] = graph.Neighbor(v, i);
-    }
-  }
-  WriteVec(out, col_idx);
-  if (graph.weighted()) {
-    std::vector<float> weights(graph.property_weights().begin(),
-                               graph.property_weights().end());
-    WriteVec(out, weights);
-  }
-  if (graph.labeled()) {
-    std::vector<uint8_t> labels(graph.num_edges());
-    for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-      labels[e] = graph.EdgeLabel(e);
-    }
-    WriteVec(out, labels);
-  }
-}
-
-void WriteBinaryFile(const Graph& graph, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw std::runtime_error("cannot open " + path);
-  }
-  WriteBinary(graph, out);
-}
-
-Graph ReadBinary(std::istream& in) {
-  std::array<char, 8> magic{};
-  in.read(magic.data(), magic.size());
-  if (!in || magic != kMagic) {
-    throw std::runtime_error("not a FlexiWalker binary graph");
-  }
-  auto num_nodes = ReadRaw<uint32_t>(in);
-  auto num_edges = ReadRaw<uint64_t>(in);
-  auto weighted = ReadRaw<uint8_t>(in);
-  auto num_labels = ReadRaw<uint8_t>(in);
-  auto row_ptr = ReadVec<EdgeId>(in);
-  auto col_idx = ReadVec<NodeId>(in);
-  if (row_ptr.size() != static_cast<size_t>(num_nodes) + 1 || col_idx.size() != num_edges) {
-    throw std::runtime_error("inconsistent binary graph header");
-  }
-  Graph graph(std::move(row_ptr), std::move(col_idx));
-  if (weighted != 0) {
-    graph.SetPropertyWeights(ReadVec<float>(in));
-  }
-  if (num_labels != 0) {
-    graph.SetEdgeLabels(ReadVec<uint8_t>(in), num_labels);
-  }
-  return graph;
-}
-
-Graph ReadBinaryFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot open " + path);
-  }
-  return ReadBinary(in);
 }
 
 RandomAccessFile::~RandomAccessFile() {

@@ -1,11 +1,11 @@
 // Graph serialization: SNAP-style edge-list text files (the format the
-// paper's datasets ship in) and a fast binary CSR container for repeated
-// runs.
+// paper's datasets ship in), and the positioned-read file the out-of-core
+// block store reads through.
 //
 // Text format, one edge per line, '#'-prefixed comment lines ignored:
 //     src dst [weight [label]]
-// Binary format: a fixed header (magic, counts, flags) followed by the raw
-// CSR arrays; round-trips weights and labels exactly.
+// with unsigned 32-bit ids, a finite non-negative weight and a label in
+// 0..255.
 #ifndef FLEXIWALKER_SRC_GRAPH_IO_H_
 #define FLEXIWALKER_SRC_GRAPH_IO_H_
 
@@ -18,21 +18,15 @@ namespace flexi {
 
 // Parses an edge-list stream. Node ids may be sparse; they are remapped
 // densely in first-appearance order unless `num_nodes` is given, in which
-// case ids must already be < num_nodes. Throws std::runtime_error on
-// malformed input.
+// case ids must already be < num_nodes. Throws std::runtime_error naming the
+// line on malformed input (a missing, signed, out-of-range or trailing token,
+// or a negative, non-finite or unparseable weight) and on a read error, which
+// leaves `in.bad()` set.
 Graph ReadEdgeList(std::istream& in, NodeId num_nodes = 0);
-Graph ReadEdgeListFile(const std::string& path, NodeId num_nodes = 0);
 
 // Writes the graph as an edge list (with weight and label columns when
 // present).
 void WriteEdgeList(const Graph& graph, std::ostream& out);
-void WriteEdgeListFile(const Graph& graph, const std::string& path);
-
-// Binary CSR round trip.
-void WriteBinary(const Graph& graph, std::ostream& out);
-void WriteBinaryFile(const Graph& graph, const std::string& path);
-Graph ReadBinary(std::istream& in);
-Graph ReadBinaryFile(const std::string& path);
 
 // Read-only random-access file for the out-of-core block store
 // (block_store.h): positioned reads that are safe from concurrent callers

@@ -1,8 +1,10 @@
-// Tests for graph serialization (edge-list text and binary CSR).
+// Tests for edge-list serialization.
 #include "src/graph/io.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <random>
 #include <sstream>
 
 #include "src/graph/generators.h"
@@ -45,6 +47,8 @@ TEST(EdgeListIo, RemapsSparseIds) {
   Graph g = ReadEdgeList(in);
   EXPECT_EQ(g.num_nodes(), 3u);
   EXPECT_EQ(g.num_edges(), 3u);
+  std::istringstream max_id("4294967295 0\n");
+  EXPECT_EQ(ReadEdgeList(max_id).num_nodes(), 2u);
 }
 
 TEST(EdgeListIo, DenseModeValidatesRange) {
@@ -55,12 +59,74 @@ TEST(EdgeListIo, DenseModeValidatesRange) {
 }
 
 TEST(EdgeListIo, RejectsMalformedLines) {
-  std::istringstream garbage("zero one\n");
-  EXPECT_THROW(ReadEdgeList(garbage), std::runtime_error);
-  std::istringstream truncated("0\n");
-  EXPECT_THROW(ReadEdgeList(truncated), std::runtime_error);
-  std::istringstream bad_label("0 1 1.0 999\n");
-  EXPECT_THROW(ReadEdgeList(bad_label), std::runtime_error);
+  for (const char* line : {
+           "zero one", "0", "0 1 1.0 999",
+           "4294967296 1",                     // above the NodeId range: aliased node 0
+           "-1 1", "0 1x", "0 1 0.5 3 junk",   // signed id, trailing tokens
+           "0 1 -3.0", "0 1 1e999", "0 1 inf", "0 1 nan",
+           "0 1 1e39",                         // finite as a double, infinite as a float
+           "0 1 abc", "0 1 1.0 3x", "0 1 1.0 -3",
+       }) {
+    std::istringstream in(std::string(line) + "\n");
+    EXPECT_THROW(ReadEdgeList(in), std::runtime_error) << line;
+  }
+  std::istringstream zero_weight("0 1 0\n");
+  EXPECT_FLOAT_EQ(ReadEdgeList(zero_weight).PropertyWeight(0), 0.0f);
+  std::istringstream unreadable("0 1\n");  // a read error is not an empty list
+  unreadable.setstate(std::ios::badbit);
+  EXPECT_THROW(ReadEdgeList(unreadable), std::runtime_error);
+}
+
+// Byte flips and truncations of a valid weighted, labelled list: each
+// mutant must throw std::runtime_error or parse to a graph a walk can use,
+// with every neighbour id below num_nodes and every weight finite and >= 0.
+TEST(EdgeListIo, RejectsCorruptLists) {
+  Graph g = GenerateErdosRenyi(60, 4.0, 21);
+  AssignWeights(g, WeightDistribution::kUniform, 0.0, 22);
+  AssignLabels(g, 5, 23);
+  std::stringstream text;
+  WriteEdgeList(g, text);
+  const std::string clean = text.str();
+
+  // Flipped bytes come from the list's own alphabet plus what turns a token
+  // signed, exponential or non-numeric, so most mutants still tokenize.
+  const std::string alphabet = "0123456789 \t\n#-+.eEinfx";
+  std::vector<std::string> mutants;
+  std::mt19937_64 rng(0x5EED);
+  for (int m = 0; m < 1000; ++m) {
+    std::string mutant = clean;
+    for (int flips = 1 + static_cast<int>(rng() % 3); flips > 0; --flips) {
+      mutant[rng() % mutant.size()] = alphabet[rng() % alphabet.size()];
+    }
+    mutants.push_back(std::move(mutant));
+  }
+  for (int m = 0; m < 64; ++m) {
+    mutants.push_back(clean.substr(0, rng() % clean.size()));
+  }
+
+  size_t rejected = 0;
+  for (size_t m = 0; m < mutants.size(); ++m) {
+    for (NodeId num_nodes : {NodeId{0}, g.num_nodes()}) {
+      std::istringstream in(mutants[m]);
+      size_t bad_ids = 0;
+      size_t bad_weights = 0;
+      try {
+        Graph parsed = ReadEdgeList(in, num_nodes);
+        for (NodeId v = 0; v < parsed.num_nodes(); ++v) {
+          for (uint32_t i = 0; i < parsed.Degree(v); ++i) {
+            bad_ids += parsed.Neighbor(v, i) >= parsed.num_nodes();
+            float w = parsed.weighted() ? parsed.PropertyWeight(parsed.EdgesBegin(v) + i) : 1.0f;
+            bad_weights += !(std::isfinite(w) && w >= 0.0f);
+          }
+        }
+      } catch (const std::runtime_error&) {
+        ++rejected;
+      }
+      EXPECT_EQ(bad_ids, 0u) << "mutant " << m << " num_nodes=" << num_nodes;
+      EXPECT_EQ(bad_weights, 0u) << "mutant " << m << " num_nodes=" << num_nodes;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(EdgeListIo, DeduplicatesRepeatedEdges) {
@@ -87,62 +153,6 @@ TEST(EdgeListIo, TextRoundTripPreservesStructure) {
                 original.EdgeLabel(original.EdgesBegin(v) + i));
     }
   }
-}
-
-TEST(BinaryIo, RoundTripIsExact) {
-  Graph original = GenerateRmat({9, 8, 0.57, 0.19, 0.19, 7});
-  AssignWeights(original, WeightDistribution::kPareto, 1.5, 8);
-  AssignLabels(original, 5, 9);
-  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
-  WriteBinary(original, buffer);
-  Graph loaded = ReadBinary(buffer);
-  ASSERT_EQ(loaded.num_nodes(), original.num_nodes());
-  ASSERT_EQ(loaded.num_edges(), original.num_edges());
-  EXPECT_EQ(loaded.num_labels(), original.num_labels());
-  for (NodeId v = 0; v < original.num_nodes(); ++v) {
-    ASSERT_EQ(loaded.Degree(v), original.Degree(v));
-    for (uint32_t i = 0; i < original.Degree(v); ++i) {
-      EdgeId e = original.EdgesBegin(v) + i;
-      EXPECT_EQ(loaded.Neighbor(v, i), original.Neighbor(v, i));
-      EXPECT_FLOAT_EQ(loaded.PropertyWeight(e), original.PropertyWeight(e));
-      EXPECT_EQ(loaded.EdgeLabel(e), original.EdgeLabel(e));
-    }
-  }
-}
-
-TEST(BinaryIo, UnweightedRoundTrip) {
-  Graph original = GenerateCycle(16);
-  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
-  WriteBinary(original, buffer);
-  Graph loaded = ReadBinary(buffer);
-  EXPECT_FALSE(loaded.weighted());
-  EXPECT_FALSE(loaded.labeled());
-  EXPECT_EQ(loaded.num_edges(), 16u);
-}
-
-TEST(BinaryIo, RejectsWrongMagicAndTruncation) {
-  std::stringstream junk(std::ios::in | std::ios::out | std::ios::binary);
-  junk << "NOTAGRPH plus trailing garbage";
-  EXPECT_THROW(ReadBinary(junk), std::runtime_error);
-
-  Graph g = GenerateCycle(4);
-  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
-  WriteBinary(g, buffer);
-  std::string bytes = buffer.str();
-  std::stringstream cut(bytes.substr(0, bytes.size() / 2),
-                        std::ios::in | std::ios::binary);
-  EXPECT_THROW(ReadBinary(cut), std::runtime_error);
-}
-
-TEST(FileIo, FileHelpersWorkAndReportMissingFiles) {
-  Graph g = GenerateErdosRenyi(50, 4.0, 11);
-  AssignWeights(g, WeightDistribution::kUniform, 0.0, 12);
-  const std::string path = "/tmp/flexi_io_test.bin";
-  WriteBinaryFile(g, path);
-  Graph loaded = ReadBinaryFile(path);
-  EXPECT_EQ(loaded.num_edges(), g.num_edges());
-  EXPECT_THROW(ReadBinaryFile("/nonexistent/dir/file.bin"), std::runtime_error);
-  EXPECT_THROW(ReadEdgeListFile("/nonexistent/dir/file.txt"), std::runtime_error);
 }
 
 }  // namespace
