@@ -24,8 +24,8 @@ int main() {
 
     double fw32 = FlowWalkerEngine(false).Run(graph, walk, starts, kBenchSeed).sim_ms;
     double fw8 = FlowWalkerEngine(true).Run(graph, walk, starts, kBenchSeed).sim_ms;
-    FlexiWalkerOptions fp32;
-    FlexiWalkerOptions int8;
+    FlexiWalkerOptions fp32 = ProfiledFlexiOptions();
+    FlexiWalkerOptions int8 = fp32;
     int8.use_int8_weights = true;
     double fxw32 = FlexiWalkerEngine(fp32).Run(graph, walk, starts, kBenchSeed).sim_ms;
     double fxw8 = FlexiWalkerEngine(int8).Run(graph, walk, starts, kBenchSeed).sim_ms;

@@ -29,7 +29,8 @@ int main() {
         nd = NextDoorEngine().Run(graph, walk, starts, kBenchSeed).sim_ms;
       }
       double fw = FlowWalkerEngine().Run(graph, walk, starts, kBenchSeed).sim_ms;
-      double fxw = FlexiWalkerEngine().Run(graph, walk, starts, kBenchSeed).sim_ms;
+      double fxw =
+          FlexiWalkerEngine(ProfiledFlexiOptions()).Run(graph, walk, starts, kBenchSeed).sim_ms;
       table.AddRow({label, Cell(nd, nd_oom), Cell(fw), Cell(fxw)});
     };
 

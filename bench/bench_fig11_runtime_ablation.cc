@@ -25,13 +25,14 @@ int main() {
       auto starts = BenchStarts(graph, 2048);
 
       double fw = FlowWalkerEngine().Run(graph, walk, starts, kBenchSeed).sim_ms;
-      FlexiWalkerOptions rvs_only;
+      FlexiWalkerOptions rvs_only = ProfiledFlexiOptions();
       rvs_only.strategy = SelectionStrategy::kAlwaysRvs;
-      FlexiWalkerOptions rjs_only;
+      FlexiWalkerOptions rjs_only = ProfiledFlexiOptions();
       rjs_only.strategy = SelectionStrategy::kAlwaysRjs;
       double rvs = FlexiWalkerEngine(rvs_only).Run(graph, walk, starts, kBenchSeed).sim_ms;
       double rjs = FlexiWalkerEngine(rjs_only).Run(graph, walk, starts, kBenchSeed).sim_ms;
-      double fxw = FlexiWalkerEngine().Run(graph, walk, starts, kBenchSeed).sim_ms;
+      double fxw =
+          FlexiWalkerEngine(ProfiledFlexiOptions()).Run(graph, walk, starts, kBenchSeed).sim_ms;
       table.AddRow({label, Cell(fw), Cell(rvs), Cell(rjs), Cell(fxw)});
     };
 

@@ -22,7 +22,7 @@ int main() {
     auto starts = BenchStarts(graph, 1024);
 
     auto run = [&](SelectionStrategy strategy) {
-      FlexiWalkerOptions options;
+      FlexiWalkerOptions options = ProfiledFlexiOptions();
       options.strategy = strategy;
       return FlexiWalkerEngine(options).Run(graph, walk, starts, kBenchSeed).sim_ms;
     };

@@ -19,7 +19,7 @@ int main() {
       Graph graph = LoadDataset(spec, WeightDistribution::kPareto, alpha);
       Node2VecWalk walk(2.0, 0.5, 80);
       auto starts = BenchStarts(graph, 1024);
-      FlexiWalkerEngine engine;
+      FlexiWalkerEngine engine(ProfiledFlexiOptions());
       WalkResult result = engine.Run(graph, walk, starts, kBenchSeed);
       double rjs_pct = result.selection.RjsRatio() * 100.0;
       table.AddRow({Table::Num(alpha), Table::Num(100.0 - rjs_pct), Table::Num(rjs_pct)});

@@ -27,7 +27,7 @@ int main() {
     WalkResult kk = KnightKingEngine().Run(graph, walk, starts, kBenchSeed);
     WalkResult trw = ThunderRWEngine().Run(graph, walk, starts, kBenchSeed);
     WalkResult fw = FlowWalkerEngine().Run(graph, walk, starts, kBenchSeed);
-    WalkResult fxw = FlexiWalkerEngine().Run(graph, walk, starts, kBenchSeed);
+    WalkResult fxw = FlexiWalkerEngine(ProfiledFlexiOptions()).Run(graph, walk, starts, kBenchSeed);
 
     table.AddRow({name, Table::Num(kk.joules / n), Table::Num(trw.joules / n),
                   Table::Num(fw.joules / n), Table::Num(fxw.joules / n),

@@ -78,7 +78,7 @@ int main() {
       NextDoorEngine nextdoor(wc.known_max);
       SkywalkerEngine skywalker;
       FlowWalkerEngine flowwalker;
-      FlexiWalkerEngine flexiwalker;
+      FlexiWalkerEngine flexiwalker(ProfiledFlexiOptions());
 
       double so = sowalker.Run(graph, *walk, starts, kBenchSeed).sim_ms;
       double trw = thunderrw.Run(graph, *walk, starts, kBenchSeed).sim_ms;

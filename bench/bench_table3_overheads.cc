@@ -16,7 +16,7 @@ int main() {
     Graph graph = LoadDataset(spec, WeightDistribution::kUniform);
     Node2VecWalk walk(2.0, 0.5, 80);
     auto starts = BenchStarts(graph, 2048);
-    FlexiWalkerEngine engine;  // profiles at startup (no fixed ratio)
+    FlexiWalkerEngine engine(ProfiledFlexiOptions());
     WalkResult result = engine.Run(graph, walk, starts, kBenchSeed);
     double total = result.profile_sim_ms + result.preprocess_sim_ms;
     table.AddRow({spec.name, Table::Num(result.profile_sim_ms),

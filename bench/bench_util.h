@@ -54,6 +54,16 @@ inline uint64_t NextDoorSortBytes(const DatasetSpec& spec) {
   return spec.paper_edges * 8;
 }
 
+// FlexiWalker as the paper's figures run it: the EdgeCost ratio is profiled
+// on options.device, the simulated GPU, at startup (§5.1). The figures
+// report that device's simulated time, so its kernel choice must come from
+// that device's costs too.
+inline FlexiWalkerOptions ProfiledFlexiOptions() {
+  FlexiWalkerOptions options;
+  options.edge_cost_ratio = std::nullopt;
+  return options;
+}
+
 // Formats a result cell: the simulated time, or an OOM sentinel.
 inline std::string Cell(double sim_ms, bool oom = false) {
   if (oom) {

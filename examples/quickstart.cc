@@ -58,6 +58,6 @@ int main() {
   std::printf("  sampler selections    : %.1f%% eRJS / %.1f%% eRVS\n",
               result.selection.RjsRatio() * 100.0,
               (1.0 - result.selection.RjsRatio()) * 100.0);
-  std::printf("  profiled EdgeCost ratio: %.2f\n", engine.last_profiled_ratio());
+  std::printf("  profiled EdgeCost ratio: %.2f\n", engine.last_edge_cost_ratio());
   return 0;
 }

@@ -231,7 +231,7 @@ WalkResult FlexiWalkerEngine::Run(const Graph& graph, const WalkLogic& logic,
   result.profile_sim_ms = prep.profile_sim_ms;
   result.preprocess_sim_ms = prep.preprocess_sim_ms;
   helpers_ = std::move(prep.helpers);
-  last_profiled_ratio_ = prep.params.edge_cost_ratio;
+  last_edge_cost_ratio_ = prep.params.edge_cost_ratio;
   return result;
 }
 

@@ -142,15 +142,15 @@ class FlexiWalkerEngine : public Engine {
   WalkResult Run(const Graph& graph, const WalkLogic& logic, std::span<const NodeId> starts,
                  uint64_t seed) override;
 
-  // Exposed for tests and the Table 3 bench: the generated helper bundle and
-  // preprocessed arrays of the last Run.
+  // Exposed for tests and examples: the generated helper bundle of the last
+  // Run, and the EdgeCost ratio its selector used (profiled or given).
   const GeneratedHelpers& helpers() const { return helpers_; }
-  double last_profiled_ratio() const { return last_profiled_ratio_; }
+  double last_edge_cost_ratio() const { return last_edge_cost_ratio_; }
 
  private:
   FlexiWalkerOptions options_;
   GeneratedHelpers helpers_;
-  double last_profiled_ratio_ = 0.0;
+  double last_edge_cost_ratio_ = 0.0;
 };
 
 }  // namespace flexi

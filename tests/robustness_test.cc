@@ -217,13 +217,16 @@ TEST(Reproducibility, ProfilerAndEngineStableAcrossRuns) {
   Node2VecWalk walk(2.0, 0.5, 6);
   auto starts = AllNodesAsStarts(graph);
 
-  FlexiWalkerEngine e1;
-  FlexiWalkerEngine e2;
+  FlexiWalkerOptions profiled;
+  profiled.edge_cost_ratio = std::nullopt;  // profile on the simulated GPU (§5.1)
+  FlexiWalkerEngine e1(profiled);
+  FlexiWalkerEngine e2(profiled);
   WalkResult r1 = e1.Run(graph, walk, starts, 123);
   WalkResult r2 = e2.Run(graph, walk, starts, 123);
   EXPECT_EQ(r1.paths, r2.paths);
   EXPECT_DOUBLE_EQ(r1.sim_ms, r2.sim_ms);
-  EXPECT_DOUBLE_EQ(e1.last_profiled_ratio(), e2.last_profiled_ratio());
+  EXPECT_GT(r1.profile_sim_ms, 0.0);
+  EXPECT_DOUBLE_EQ(e1.last_edge_cost_ratio(), e2.last_edge_cost_ratio());
   EXPECT_EQ(r1.selection.chose_rjs, r2.selection.chose_rjs);
 }
 
