@@ -391,11 +391,6 @@ FlexiWalkerOptions FlexiOptions(const Args& args) {
   options.wavefront = static_cast<uint32_t>(args.Num("--wavefront"));
   jit::ParseJitMode(args.Str("--jit"), &options.jit);  // the row admits only its choices
   options.jit_cache_dir = args.Str("--jit-cache-dir");
-  if (args.mode == kOutOfCore) {
-    // Pinned: profiling samples the whole graph, which is exactly what
-    // out-of-core execution cannot assume is loadable (out_of_core.h).
-    options.edge_cost_ratio = 4.0;
-  }
   return options;
 }
 
@@ -1005,6 +1000,18 @@ int RunLocal(const Args& args, std::ofstream& out) {
   std::printf("simulated time: %.3f ms\n", result.sim_ms);
   std::printf("energy        : %.4f J\n", result.joules);
   std::printf("hottest node  : %u (%.3f%% of visits)\n", hottest, freq[hottest] * 100.0);
+  if (args.Text("--engine") == "flexiwalker") {
+    // The out-of-core tier refuses an unset ratio, so it always has one.
+    const FlexiWalkerOptions options = FlexiOptions(args);
+    const double ratio =
+        out_of_core ? *options.edge_cost_ratio
+                    : static_cast<const FlexiWalkerEngine&>(*engine).last_edge_cost_ratio();
+    std::printf("selection     : %llu eRJS / %llu eRVS (eRJS share %.3f) | "
+                "EdgeCost ratio %.2f (%s)\n",
+                static_cast<unsigned long long>(result.selection.chose_rjs),
+                static_cast<unsigned long long>(result.selection.chose_rvs),
+                result.selection.RjsRatio(), ratio, EdgeCostRatioSource(options));
+  }
   if (out.is_open()) {
     WriteWalks(out, result);
   }

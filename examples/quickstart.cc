@@ -31,8 +31,10 @@ int main() {
   // no further configuration is needed.
   Node2VecWalk walk(/*a=*/2.0, /*b=*/0.5, /*length=*/80);
 
-  // 3. Run. One query per node, like the paper's evaluation.
-  FlexiWalkerEngine engine;
+  // 3. Run. One query per node, like the paper's evaluation. The default
+  // options pick eRJS or eRVS per step by the host's EdgeCost ratio.
+  FlexiWalkerOptions options;
+  FlexiWalkerEngine engine(options);
   std::vector<NodeId> starts = AllNodesAsStarts(graph);
   WalkResult result = engine.Run(graph, walk, starts, /*seed=*/2026);
 
@@ -58,6 +60,7 @@ int main() {
   std::printf("  sampler selections    : %.1f%% eRJS / %.1f%% eRVS\n",
               result.selection.RjsRatio() * 100.0,
               (1.0 - result.selection.RjsRatio()) * 100.0);
-  std::printf("  profiled EdgeCost ratio: %.2f\n", engine.last_edge_cost_ratio());
+  std::printf("  EdgeCost ratio        : %.2f (%s)\n", engine.last_edge_cost_ratio(),
+              EdgeCostRatioSource(options));
   return 0;
 }

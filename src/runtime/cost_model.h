@@ -31,10 +31,20 @@ enum class SelectionStrategy {
   kAlwaysRjs,
 };
 
+// The EdgeCost ratio of the host CPU that executes the walks: equal
+// per-edge costs. eRVS evaluates every neighbour's weight, eRJS one per
+// trial, so Eq. 11 then reads "eRJS when its expected trials,
+// deg·max̂/Σ̂, are fewer than the degree". A constant, never a wall-clock
+// measurement: paths depend on the ratio, and seed + query id -> path must
+// hold on every machine.
+inline constexpr double kHostEdgeCostRatio = 1.0;
+
 struct CostModelParams {
-  // Profiled EdgeCost_RJS / EdgeCost_RVS ratio; random accesses are costlier
-  // than sequential ones, so the ratio is > 1.
-  double edge_cost_ratio = 4.0;
+  // EdgeCost_RJS / EdgeCost_RVS (Eq. 11). Profiled on the simulated GPU
+  // (§5.1), where eRJS's random accesses cost more than eRVS's coalesced
+  // scans, it is > 1 (21.5 on EU node2vec); on the host it is
+  // kHostEdgeCostRatio.
+  double edge_cost_ratio = kHostEdgeCostRatio;
   uint32_t degree_threshold = 1000;  // for kDegreeThreshold
 };
 

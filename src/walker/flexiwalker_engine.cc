@@ -18,9 +18,10 @@ FlexiPreparation PrepareFlexiWalker(const Graph& graph, const WalkLogic& logic,
   Generator generator;
   prep.helpers = generator.Generate(logic.program());
 
-  // --- Profiling kernels (§5.1): calibrate the EdgeCost ratio. The sample
-  // is sharded over the worker pool; the traffic drains into `device` so
-  // the phase's simulated cost is reported separately. ---
+  // --- Profiling kernels (§5.1): calibrate the EdgeCost ratio on `device`
+  // when the options leave it unset. The sample is sharded over the worker
+  // pool; the traffic drains into `device` so the phase's simulated cost is
+  // reported separately. ---
   prep.params.degree_threshold = options.degree_threshold;
   if (options.edge_cost_ratio.has_value()) {
     prep.params.edge_cost_ratio = *options.edge_cost_ratio;

@@ -82,15 +82,16 @@ WalkResult RunFlexiWalkerOutOfCore(const BlockStore& store, const WalkLogic& log
   }
   if (!options.edge_cost_ratio.has_value()) {
     throw std::invalid_argument(
-        "RunFlexiWalkerOutOfCore: edge_cost_ratio must be pinned — profiling "
-        "samples the full graph, which out-of-core execution cannot load");
+        "RunFlexiWalkerOutOfCore: edge_cost_ratio is unset, which asks for "
+        "profiling, and profiling samples the full graph, which out-of-core "
+        "execution cannot load");
   }
   if (options.use_int8_weights || options.cache_static_tables) {
     throw std::invalid_argument(
         "RunFlexiWalkerOutOfCore: INT8 weights and cached static tables "
         "build O(edges) resident structures; disable them for out-of-core runs");
   }
-  // The out-of-core FlexiPreparation: the generated helpers, the pinned
+  // The out-of-core FlexiPreparation: the generated helpers, the given
   // cost-model parameters, the h reductions streamed one block at a time,
   // and the compiled kernel from the same JIT preparation as the in-memory
   // tier. Never the static-table variant: this tier builds no O(edges)

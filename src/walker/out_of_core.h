@@ -86,14 +86,15 @@ PreprocessedData PreprocessOutOfCore(const BlockStore& store, GraphCache& cache,
 // cache_blocks * block payload bytes. Each requirement below throws
 // std::invalid_argument when violated:
 //   * `logic` must be first-order (IsFirstOrderProgram).
-//   * options.edge_cost_ratio must be pinned — profiling samples the whole
-//     graph, which is exactly what out-of-core execution cannot assume is
-//     loadable. Pin the same ratio on the in-memory engine to compare runs.
+//   * options.edge_cost_ratio must not be std::nullopt, which asks for
+//     profiling: profiling samples the whole graph, which is exactly what
+//     out-of-core execution cannot assume is loadable. The default,
+//     kHostEdgeCostRatio, is the in-memory engine's default too.
 //   * use_int8_weights and cache_static_tables are rejected: both build
 //     O(edges) resident structures, defeating the memory bound.
 // The options' threads, wavefront (0 = auto by the *full* graph's payload)
-// and dispensation shape execution only. With the same seed, starts, and
-// pinned options, paths are bit-identical to FlexiWalkerEngine::Run on the
+// and dispensation shape execution only. With the same seed, starts and
+// options, paths are bit-identical to FlexiWalkerEngine::Run on the
 // unpartitioned graph.
 WalkResult RunFlexiWalkerOutOfCore(const BlockStore& store, const WalkLogic& logic,
                                    const FlexiWalkerOptions& options, uint32_t cache_blocks,

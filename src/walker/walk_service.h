@@ -136,7 +136,8 @@ class WalkService {
 };
 
 // Builds a serving FlexiWalker: runs PrepareFlexiWalker once — helper
-// generation (§4.2), EdgeCost profiling (§5.1), preprocessing reductions,
+// generation (§4.2), EdgeCost profiling (§5.1) only when
+// options.edge_cost_ratio is unset, preprocessing reductions,
 // optional INT8 quantization, the cached static-walk alias tables when
 // options.cache_static_tables applies, and the optional compiled kernel —
 // then serves every batch through MakeFlexiWorkerFactory, the same kernel

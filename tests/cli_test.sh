@@ -2,7 +2,8 @@
 # Exit-code contract of flexiwalker_cli: 0 ok, 1 usage error or unreadable
 # file, 2 a serving mode under a baseline engine, 3 malformed input. A flag
 # given outside the modes it applies to is refused, never ignored, and the
-# walks written to --out do not depend on --threads.
+# walks written to --out do not depend on --threads, nor, for first-order
+# workloads, on whether the run is one-shot or out of core.
 #
 #   bash tests/cli_test.sh <path to flexiwalker_cli>
 set -u
@@ -10,6 +11,11 @@ cli=$1
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 failures=0
+
+fail() {
+  echo "FAIL: $*"
+  failures=$((failures + 1))
+}
 
 # expect <code> <stdin> <flag>...: runs the CLI on <stdin> and checks its
 # exit code.
@@ -19,9 +25,8 @@ expect() {
   printf '%b' "$input" | "$cli" "$@" > "$work/stdout" 2> "$work/stderr"
   local got=$?
   if [ "$got" != "$want" ]; then
-    echo "FAIL: exit $got, want $want: flexiwalker_cli $*"
+    fail "exit $got, want $want: flexiwalker_cli $*"
     sed 's/^/  stderr: /' "$work/stderr"
-    failures=$((failures + 1))
   fi
 }
 
@@ -58,9 +63,22 @@ expect 0 "" --dataset YT --workload node2vec --queries 64 --length 16 --threads 
     --out "$work/threads4.txt"
 if [ "$(wc -l < "$work/threads1.txt")" != 64 ] ||
     ! cmp -s "$work/threads1.txt" "$work/threads4.txt"; then
-  echo "FAIL: --out walks differ between --threads 1 and 4 (or are not 64 lines)"
-  failures=$((failures + 1))
+  fail "--out walks differ between --threads 1 and 4 (or are not 64 lines)"
 fi
+
+# One EdgeCost ratio in every mode: out of core, a first-order workload
+# walks exactly as it does one-shot, and both summaries name the ratio.
+for workload in deepwalk ppr; do
+  walks=(--dataset YT --workload "$workload" --queries 256 --length 16)
+  expect 0 "" "${walks[@]}" --out "$work/$workload-oneshot.txt"
+  grep -q 'EdgeCost ratio 1.00 (host)' "$work/stdout" || fail "one-shot $workload: no host ratio"
+  expect 0 "" "${walks[@]}" --block-bytes 4096 --cache-blocks 2 --out "$work/$workload-ooc.txt"
+  grep -q 'EdgeCost ratio 1.00 (host)' "$work/stdout" || fail "out-of-core $workload: no host ratio"
+  if [ "$(wc -l < "$work/$workload-oneshot.txt")" != 256 ] ||
+      ! cmp -s "$work/$workload-oneshot.txt" "$work/$workload-ooc.txt"; then
+    fail "$workload --out walks differ between one-shot and out of core"
+  fi
+done
 
 if [ "$failures" != 0 ]; then
   echo "$failures CLI contract check(s) failed"

@@ -330,7 +330,7 @@ TEST(OutOfCore, MatchesInMemoryAcrossCacheThreadsAndWavefront) {
   DeepWalk walk(12);
 
   FlexiWalkerOptions base;
-  base.edge_cost_ratio = 4.0;  // profiling needs the full graph: pin it
+  base.edge_cost_ratio = 4.0;  // a given ratio other than the default
   WalkResult reference = FlexiWalkerEngine(base).Run(g, walk, starts, uint64_t{4242});
 
   for (uint32_t cache_blocks : {1u, 2u, static_cast<uint32_t>(blocks)}) {
@@ -353,6 +353,50 @@ TEST(OutOfCore, MatchesInMemoryAcrossCacheThreadsAndWavefront) {
         }
       }
     }
+  }
+  std::remove(path.c_str());
+}
+
+// Both tiers default to the host's EdgeCost ratio, so an out-of-core run
+// needs no pinned ratio to reproduce the in-memory engine's paths and
+// eRJS/eRVS choices.
+TEST(OutOfCore, DefaultOptionsMatchInMemoryDefaults) {
+  Graph g = TestGraph();
+  const std::string path = BlockFilePath("defaults");
+  size_t blocks = PartitionToBlockFile(g, path, 2048);
+  ASSERT_GE(blocks, 4u);
+  BlockStore store = BlockStore::Open(path);
+  std::vector<NodeId> starts = AllStarts(g);
+  DeepWalk walk(12);
+
+  WalkResult reference = FlexiWalkerEngine().Run(g, walk, starts, uint64_t{4242});
+  for (uint32_t cache_blocks : {1u, 4u, static_cast<uint32_t>(blocks)}) {
+    WalkResult ooc = RunFlexiWalkerOutOfCore(store, walk, FlexiWalkerOptions(), cache_blocks,
+                                             starts, uint64_t{4242});
+    EXPECT_EQ(ooc.paths, reference.paths) << "cache=" << cache_blocks;
+    EXPECT_EQ(ooc.selection.chose_rjs, reference.selection.chose_rjs) << "cache=" << cache_blocks;
+    EXPECT_EQ(ooc.selection.chose_rvs, reference.selection.chose_rvs) << "cache=" << cache_blocks;
+  }
+  std::remove(path.c_str());
+}
+
+// An unset ratio asks for profiling, which samples the whole graph: the
+// out-of-core tier refuses it and says why.
+TEST(OutOfCore, ProfiledRatioIsRefused) {
+  Graph g = TestGraph(200, 4.0, 43);
+  const std::string path = BlockFilePath("profiled");
+  PartitionToBlockFile(g, path, 2048);
+  BlockStore store = BlockStore::Open(path);
+  std::vector<NodeId> starts = AllStarts(g);
+  DeepWalk walk(8);
+
+  FlexiWalkerOptions profiled;
+  profiled.edge_cost_ratio = std::nullopt;
+  try {
+    RunFlexiWalkerOutOfCore(store, walk, profiled, 2, starts, 1);
+    ADD_FAILURE() << "an unset edge_cost_ratio must be refused out of core";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("profiling"), std::string::npos) << e.what();
   }
   std::remove(path.c_str());
 }
@@ -403,10 +447,6 @@ TEST(OutOfCore, ResidentOnlyOptionsAreRejected) {
   BlockStore store = BlockStore::Open(path);
   std::vector<NodeId> starts = AllStarts(g);
   DeepWalk walk(8);
-
-  FlexiWalkerOptions unpinned;  // profiling would need the whole graph
-  EXPECT_THROW(RunFlexiWalkerOutOfCore(store, walk, unpinned, 2, starts, 1),
-               std::invalid_argument);
 
   FlexiWalkerOptions int8;
   int8.edge_cost_ratio = 4.0;

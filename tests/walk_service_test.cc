@@ -206,6 +206,44 @@ TEST(FlexiWalkerService, FirstBatchMatchesOneShotEngine) {
   EXPECT_EQ(engine_result.selection.chose_rvs, served.walk.selection.chose_rvs);
 }
 
+// The engine and the service walk on the host, so their default options
+// take the host's EdgeCost ratio and run no profiling phase: both select
+// eRJS/eRVS exactly as an engine given kHostEdgeCostRatio does, and not as
+// one that profiles the simulated GPU.
+TEST(FlexiWalkerService, DefaultOptionsWalkAtTheHostRatioWithoutProfiling) {
+  Graph graph = TestGraph();
+  Node2VecWalk walk(2.0, 0.5, 12);
+  auto starts = AllNodesAsStarts(graph);
+
+  FlexiWalkerEngine engine;
+  WalkResult defaults = engine.Run(graph, walk, starts, 99);
+  EXPECT_EQ(defaults.profile_sim_ms, 0.0);
+  EXPECT_EQ(engine.last_edge_cost_ratio(), kHostEdgeCostRatio);
+
+  // MakeFlexiWalkerService prepares through PrepareFlexiWalker.
+  DeviceContext device(DeviceProfile::SimulatedGpu());
+  FlexiPreparation prep = PrepareFlexiWalker(graph, walk, FlexiWalkerOptions(), device);
+  EXPECT_EQ(prep.profile_sim_ms, 0.0);
+  EXPECT_EQ(prep.params.edge_cost_ratio, kHostEdgeCostRatio);
+  auto service = MakeFlexiWalkerService(graph, walk, FlexiWalkerOptions(), 99);
+  BatchResult served = service->Submit({starts}).get();
+
+  FlexiWalkerOptions host;
+  host.edge_cost_ratio = kHostEdgeCostRatio;
+  WalkResult at_host = FlexiWalkerEngine(host).Run(graph, walk, starts, 99);
+  FlexiWalkerOptions profiled;
+  profiled.edge_cost_ratio = std::nullopt;
+  WalkResult at_profiled = FlexiWalkerEngine(profiled).Run(graph, walk, starts, 99);
+  ASSERT_GT(at_profiled.profile_sim_ms, 0.0);
+  ASSERT_NE(at_profiled.selection.chose_rjs, at_host.selection.chose_rjs)
+      << "the graph must tell the two ratios apart";
+  for (const WalkResult* result : {&defaults, &served.walk}) {
+    EXPECT_EQ(result->paths, at_host.paths);
+    EXPECT_EQ(result->selection.chose_rjs, at_host.selection.chose_rjs);
+    EXPECT_EQ(result->selection.chose_rvs, at_host.selection.chose_rvs);
+  }
+}
+
 TEST(WalkService, PipelinedBatchesMatchSerialBatches) {
   // pipeline_depth > 1 runs batches concurrently on the pool; global ids are
   // assigned at Submit, so every batch's paths must match the depth-1
