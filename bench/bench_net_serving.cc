@@ -129,7 +129,8 @@ bool CheckServedParity(const Graph& graph, const WalkLogic& walk,
   std::vector<NodeId> served(engine_result.paths.size(), kInvalidNode);
   for (auto& future : futures) {
     WalkClient::Result result = future.get();
-    if ((result.first_query_id + result.num_queries) * result.path_stride > served.size()) {
+    if (!result.ok() ||
+        (result.first_query_id + result.num_queries) * result.path_stride > served.size()) {
       return false;
     }
     std::copy(result.paths.begin(), result.paths.end(),
@@ -169,7 +170,7 @@ LoadStats RunLoad(const Graph& graph, const WalkLogic& walk, const FlexiWalkerOp
         for (auto& future : futures) {
           WalkClient::Result result = future.get();
           auto t1 = std::chrono::steady_clock::now();
-          if (result.num_queries != 1) {
+          if (!result.ok() || result.num_queries != 1) {
             failed.store(true);
             return;
           }
@@ -394,20 +395,17 @@ OverloadRun RunOverload(const Graph& graph, const WalkLogic& walk,
           }
           Pending request = std::move(pending.front());
           pending.pop_front();
-          try {
-            WalkClient::Result result = request.future.get();
+          WalkClient::Result result = request.future.get();
+          if (result.ok()) {
             out.latencies.push_back(std::chrono::duration<double, std::micro>(
                                         std::chrono::steady_clock::now() - request.t0)
                                         .count());
             out.records.push_back({result.first_query_id, request.start,
                                    {result.paths.begin(), result.paths.end()}});
-          } catch (const ServerError& e) {
-            if (e.code() == WireErrorCode::kDeadlineExceeded) {
-              out.expired++;
-            } else {
-              out.errors++;
-            }
-          } catch (const std::exception&) {
+          } else if (result.status == WalkClient::Status::kServerError &&
+                     result.code == WireErrorCode::kDeadlineExceeded) {
+            out.expired++;
+          } else {
             out.errors++;
           }
         }

@@ -121,116 +121,134 @@ bool WalkClient::connected() const {
   return open_;
 }
 
-std::future<WalkClient::Result> WalkClient::Submit(std::vector<NodeId> starts,
-                                                   uint32_t workload_id, uint64_t deadline_us) {
-  uint64_t tag = 0;
-  return SubmitTagged(std::move(starts), workload_id, deadline_us, &tag);
+namespace {
+
+WalkClient::Result Failure(WalkClient::Status status, std::string error,
+                           WireErrorCode code = {}) {
+  WalkClient::Result result;
+  result.status = status;
+  result.code = code;
+  result.error = std::move(error);
+  return result;
 }
 
-std::future<WalkClient::Result> WalkClient::SubmitTagged(std::vector<NodeId> starts,
-                                                         uint32_t workload_id,
-                                                         uint64_t deadline_us,
-                                                         uint64_t* tag_out) {
-  std::promise<Result> promise;
-  std::future<Result> future = promise.get_future();
-  uint64_t tag = 0;
+// The flexi_client_retries_total reason a failed Walk attempt retries
+// under, or nullptr for a permanent failure.
+const char* RetryReason(const WalkClient::Result& failure) {
+  if (failure.status == WalkClient::Status::kTimedOut) {
+    return "timeout";
+  }
+  if (failure.status == WalkClient::Status::kConnectionLost) {
+    return "torn";  // closed, reset, send failed
+  }
+  switch (failure.code) {
+    case WireErrorCode::kOverloaded:
+      return "overloaded";
+    case WireErrorCode::kDraining:
+      return "draining";
+    case WireErrorCode::kDeadlineExceeded:
+      // Transient by definition — the server shed under load. Each attempt
+      // carries a fresh budget, so retrying is meaningful for as long as
+      // attempts remain.
+      return "deadline";
+    default:
+      // kMalformedFrame, kNodeOutOfRange, kUnknownWorkload,
+      // kRequestTooLarge, kShuttingDown: re-sending the same bytes
+      // reproduces the same answer.
+      return nullptr;
+  }
+}
+
+// Walk and FetchStats raise a failed Result on the caller's thread.
+[[noreturn]] void Throw(const WalkClient::Result& failure) {
+  switch (failure.status) {
+    case WalkClient::Status::kServerError:
+      throw ServerError(failure.code, failure.error);
+    case WalkClient::Status::kTimedOut:
+      throw RequestTimeoutError(failure.error);
+    default:
+      throw std::runtime_error(failure.error);
+  }
+}
+
+}  // namespace
+
+template <typename AppendFrame>
+std::future<WalkClient::Result> WalkClient::Start(AppendFrame append_frame) {
+  Pending pending;
+  pending.expiry = options_.request_timeout_ms > 0
+                       ? std::chrono::steady_clock::now() +
+                             std::chrono::milliseconds(options_.request_timeout_ms)
+                       : std::chrono::steady_clock::time_point::max();
+  std::future<Result> future = pending.promise.get_future();
+  uint64_t tag;
+  bool open;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!open_) {
-      promise.set_exception(
-          std::make_exception_ptr(std::runtime_error("WalkClient is not connected")));
-      return future;
-    }
-    // The promise must be registered before the frame leaves, or a fast
+    // The entry must be registered before the frame leaves, or a fast
     // response could arrive with no one to claim it.
     tag = next_tag_++;
-    pending_.emplace(tag, std::move(promise));
-    if (options_.request_timeout_ms > 0) {
-      deadlines_.emplace(tag, std::chrono::steady_clock::now() +
-                                  std::chrono::milliseconds(options_.request_timeout_ms));
-    }
+    open = open_;
+    pending_.emplace(tag, std::move(pending));
   }
-  *tag_out = tag;
-  WireRequest request;
-  request.tag = tag;
-  request.workload_id = workload_id;
-  request.deadline_us = deadline_us;
-  request.starts = std::move(starts);
+  if (!open) {
+    Complete(tag, Failure(Status::kConnectionLost, "WalkClient is not connected"));
+    return future;
+  }
   std::vector<uint8_t> bytes;
-  AppendRequestFrame(bytes, request);
+  append_frame(bytes, tag);
   bool sent;
   {
     std::lock_guard<std::mutex> lock(write_mutex_);
     sent = SendAll(fd_, bytes.data(), bytes.size());
   }
   if (!sent) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = pending_.find(tag);
-    if (it != pending_.end()) {  // the reader may have failed it already
-      it->second.set_exception(
-          std::make_exception_ptr(std::runtime_error("send failed: connection lost")));
-      pending_.erase(it);
-    }
-    deadlines_.erase(tag);
+    Complete(tag, Failure(Status::kConnectionLost, "send failed: connection lost"));
   }
   return future;
+}
+
+std::future<WalkClient::Result> WalkClient::Submit(std::vector<NodeId> starts,
+                                                   uint32_t workload_id, uint64_t deadline_us) {
+  return Start([&](std::vector<uint8_t>& bytes, uint64_t tag) {
+    AppendRequestFrame(bytes, {tag, workload_id, std::move(starts), deadline_us});
+  });
+}
+
+std::string WalkClient::FetchStats() {
+  Result result = Start([](std::vector<uint8_t>& bytes, uint64_t tag) {
+                    AppendStatsRequestFrame(bytes, {tag});
+                  }).get();
+  if (!result.ok()) {
+    Throw(result);
+  }
+  return std::move(result.stats);
 }
 
 WalkClient::Result WalkClient::Walk(std::vector<NodeId> starts, uint32_t workload_id,
                                     uint64_t deadline_us) {
   uint32_t attempts = options_.max_retries + 1;
   for (uint32_t attempt = 0;; ++attempt) {
-    // nullptr reason = permanent failure, never retried.
-    const char* retry_reason = nullptr;
-    std::exception_ptr error;
+    bool reconnected = true;
+    std::string connect_error;
     if (!connected() && !host_.empty()) {
       // The previous attempt (or a server restart) tore the connection
       // down: rebuild it. Close() first — the dead fd and its reader are
       // still around — then dial the remembered endpoint.
       Close();
-      std::string connect_error;
-      if (!Connect(host_, port_, &connect_error)) {
-        retry_reason = "connect";
-        error =
-            std::make_exception_ptr(std::runtime_error("connect failed: " + connect_error));
-      }
+      reconnected = Connect(host_, port_, &connect_error);
     }
-    if (error == nullptr) {
-      try {
-        // starts is copied per attempt; each retry re-sends the same
-        // request under a fresh tag (and a fresh deadline budget).
-        return Submit(starts, workload_id, deadline_us).get();
-      } catch (const ServerError& e) {
-        switch (e.code()) {
-          case WireErrorCode::kOverloaded:
-            retry_reason = "overloaded";
-            break;
-          case WireErrorCode::kDraining:
-            retry_reason = "draining";
-            break;
-          case WireErrorCode::kDeadlineExceeded:
-            // Transient by definition — the server shed under load. Each
-            // attempt carries a fresh budget, so retrying is meaningful
-            // for as long as attempts remain.
-            retry_reason = "deadline";
-            break;
-          default:
-            // kMalformedFrame, kNodeOutOfRange, kUnknownWorkload,
-            // kRequestTooLarge, kShuttingDown: re-sending the same bytes
-            // reproduces the same answer.
-            break;
-        }
-        error = std::current_exception();
-      } catch (const RequestTimeoutError&) {
-        retry_reason = "timeout";
-        error = std::current_exception();
-      } catch (const std::runtime_error&) {
-        retry_reason = "torn";  // connection-level: closed, reset, send failed
-        error = std::current_exception();
-      }
+    // starts is copied per attempt; each retry re-sends the same request
+    // under a fresh tag (and a fresh deadline budget).
+    Result result =
+        reconnected ? Submit(starts, workload_id, deadline_us).get()
+                    : Failure(Status::kConnectionLost, "connect failed: " + connect_error);
+    if (result.ok()) {
+      return result;
     }
+    const char* retry_reason = reconnected ? RetryReason(result) : "connect";
     if (retry_reason == nullptr || attempt + 1 >= attempts) {
-      std::rethrow_exception(error);
+      Throw(result);
     }
     ++retries_attempted_;
     obs::MetricsRegistry::Global()
@@ -251,67 +269,40 @@ void WalkClient::BackoffSleep(uint32_t retry_index) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(cap * jitter(backoff_rng_)));
 }
 
-std::future<std::string> WalkClient::SubmitStatsRequest() {
-  std::promise<std::string> promise;
-  std::future<std::string> future = promise.get_future();
-  uint64_t tag = 0;
+void WalkClient::Complete(uint64_t tag, Result result) {
+  std::promise<Result> promise;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!open_) {
-      promise.set_exception(
-          std::make_exception_ptr(std::runtime_error("WalkClient is not connected")));
-      return future;
-    }
-    tag = next_tag_++;
-    pending_stats_.emplace(tag, std::move(promise));
-  }
-  std::vector<uint8_t> bytes;
-  AppendStatsRequestFrame(bytes, {tag});
-  bool sent;
-  {
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    sent = SendAll(fd_, bytes.data(), bytes.size());
-  }
-  if (!sent) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = pending_stats_.find(tag);
-    if (it != pending_stats_.end()) {
-      it->second.set_exception(
-          std::make_exception_ptr(std::runtime_error("send failed: connection lost")));
-      pending_stats_.erase(it);
-    }
-  }
-  return future;
-}
-
-std::string WalkClient::FetchStats() { return SubmitStatsRequest().get(); }
-
-void WalkClient::SweepExpired() {
-  std::vector<std::promise<Result>> lapsed;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (deadlines_.empty()) {
+    auto it = pending_.find(tag);
+    if (it == pending_.end()) {
+      // Already ended: a response after its timer fired (the timer
+      // decided, not the wire), or a failed send after a teardown.
       return;
     }
+    promise = std::move(it->second.promise);
+    pending_.erase(it);
+  }
+  promise.set_value(std::move(result));
+}
+
+void WalkClient::SweepExpired() {
+  if (options_.request_timeout_ms == 0) {
+    return;
+  }
+  std::vector<uint64_t> lapsed;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
     auto now = std::chrono::steady_clock::now();
-    for (auto it = deadlines_.begin(); it != deadlines_.end();) {
-      if (it->second <= now) {
-        auto pending_it = pending_.find(it->first);
-        if (pending_it != pending_.end()) {
-          lapsed.push_back(std::move(pending_it->second));
-          pending_.erase(pending_it);
-        }
-        it = deadlines_.erase(it);
-      } else {
-        ++it;
+    for (const auto& [tag, pending] : pending_) {
+      if (pending.expiry <= now) {
+        lapsed.push_back(tag);
       }
     }
   }
-  // A late response for a swept tag finds no pending entry and is ignored —
-  // the timer decided, not the wire.
-  for (auto& promise : lapsed) {
-    promise.set_exception(std::make_exception_ptr(RequestTimeoutError(
-        "request timed out after " + std::to_string(options_.request_timeout_ms) + " ms")));
+  for (uint64_t tag : lapsed) {
+    Complete(tag, Failure(Status::kTimedOut, "request timed out after " +
+                                                 std::to_string(options_.request_timeout_ms) +
+                                                 " ms"));
   }
 }
 
@@ -330,7 +321,7 @@ void WalkClient::ReceiveLoop() {
       continue;
     }
     if (n <= 0) {
-      FailAllPending("connection closed");
+      FailAllPending(Failure(Status::kConnectionLost, "connection closed"));
       return;
     }
     SweepExpired();  // timers must fire even under continuous traffic
@@ -342,86 +333,37 @@ void WalkClient::ReceiveLoop() {
         break;
       }
       if (status == DecodeStatus::kMalformed) {
-        // Typed so retry policy sees "malformed" (never retried), even
-        // though the whole connection is going down.
-        FailAllPending(std::make_exception_ptr(
-            ServerError(WireErrorCode::kMalformedFrame, "malformed frame from server")));
+        // A server error, so retry policy sees "malformed" (never
+        // retried), even though the whole connection is going down.
+        FailAllPending(Failure(Status::kServerError, "malformed frame from server",
+                               WireErrorCode::kMalformedFrame));
         return;
       }
       if (frame.type == FrameType::kResponse) {
-        std::promise<Result> promise;
-        bool found = false;
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          auto it = pending_.find(frame.response.tag);
-          if (it != pending_.end()) {
-            promise = std::move(it->second);
-            pending_.erase(it);
-            found = true;
-          }
-          deadlines_.erase(frame.response.tag);
-        }
-        if (found) {
-          Result result;
-          result.first_query_id = frame.response.first_query_id;
-          result.path_stride = frame.response.path_stride;
-          result.num_queries = frame.response.num_queries;
-          result.paths = std::move(frame.response.paths);
-          promise.set_value(std::move(result));
-        }
+        Result result;
+        result.first_query_id = frame.response.first_query_id;
+        result.path_stride = frame.response.path_stride;
+        result.num_queries = frame.response.num_queries;
+        result.paths = std::move(frame.response.paths);
+        Complete(frame.response.tag, std::move(result));
       } else if (frame.type == FrameType::kStatsResponse) {
-        std::promise<std::string> promise;
-        bool found = false;
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          auto it = pending_stats_.find(frame.stats_response.tag);
-          if (it != pending_stats_.end()) {
-            promise = std::move(it->second);
-            pending_stats_.erase(it);
-            found = true;
-          }
-        }
-        if (found) {
-          promise.set_value(std::move(frame.stats_response.text));
-        }
+        Result result;
+        result.stats = std::move(frame.stats_response.text);
+        Complete(frame.stats_response.tag, std::move(result));
       } else if (frame.type == FrameType::kError) {
-        std::string reason = std::string("server error (") +
-                             WireErrorCodeName(frame.error.code) + "): " + frame.error.message;
+        Result failure = Failure(Status::kServerError,
+                                 std::string("server error (") +
+                                     WireErrorCodeName(frame.error.code) +
+                                     "): " + frame.error.message,
+                                 frame.error.code);
         if (frame.error.tag == 0) {
           // Not attributable to one request (e.g. the server is about to
           // close a desynced connection): everything outstanding fails,
-          // typed with the wire code so retry policy can classify.
-          FailAllPending(std::make_exception_ptr(ServerError(frame.error.code, reason)));
+          // with the wire code so retry policy can classify.
+          FailAllPending(failure);
           return;
         }
-        std::promise<Result> promise;
-        bool found = false;
-        std::promise<std::string> stats_promise;
-        bool stats_found = false;
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          auto it = pending_.find(frame.error.tag);
-          if (it != pending_.end()) {
-            promise = std::move(it->second);
-            pending_.erase(it);
-            found = true;
-          } else {
-            auto stats_it = pending_stats_.find(frame.error.tag);
-            if (stats_it != pending_stats_.end()) {
-              stats_promise = std::move(stats_it->second);
-              pending_stats_.erase(stats_it);
-              stats_found = true;
-            }
-          }
-          deadlines_.erase(frame.error.tag);
-        }
-        if (found) {
-          promise.set_exception(std::make_exception_ptr(ServerError(frame.error.code, reason)));
-        }
-        if (stats_found) {
-          stats_promise.set_exception(
-              std::make_exception_ptr(ServerError(frame.error.code, reason)));
-        }
+        Complete(frame.error.tag, std::move(failure));
       }
       // A request frame from a server is nonsense; ignore it rather than
       // tearing down a connection that is otherwise consistent.
@@ -429,26 +371,18 @@ void WalkClient::ReceiveLoop() {
   }
 }
 
-void WalkClient::FailAllPending(std::exception_ptr error) {
-  std::unordered_map<uint64_t, std::promise<Result>> orphaned;
-  std::unordered_map<uint64_t, std::promise<std::string>> orphaned_stats;
+void WalkClient::FailAllPending(const Result& failure) {
+  std::vector<uint64_t> tags;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     open_ = false;
-    orphaned.swap(pending_);
-    orphaned_stats.swap(pending_stats_);
-    deadlines_.clear();
+    for (const auto& [tag, pending] : pending_) {
+      tags.push_back(tag);
+    }
   }
-  for (auto& [tag, promise] : orphaned) {
-    promise.set_exception(error);
+  for (uint64_t tag : tags) {
+    Complete(tag, failure);
   }
-  for (auto& [tag, promise] : orphaned_stats) {
-    promise.set_exception(error);
-  }
-}
-
-void WalkClient::FailAllPending(const std::string& reason) {
-  FailAllPending(std::make_exception_ptr(std::runtime_error(reason)));
 }
 
 void WalkClient::Close() {
@@ -463,7 +397,7 @@ void WalkClient::Close() {
   if (reader_.joinable()) {
     reader_.join();
   }
-  FailAllPending("client closed");
+  FailAllPending(Failure(Status::kConnectionLost, "client closed"));
   ::close(fd_);
   fd_ = -1;
 }

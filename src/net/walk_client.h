@@ -5,19 +5,23 @@
 //
 // Submit() is pipelined: it frames and sends the request immediately and
 // returns a future; a reader thread matches response frames back to futures
-// by tag, so many requests can be in flight on one connection. Server-side
-// errors for a request (out-of-range start, overload rejection, an expired
-// deadline) surface as a ServerError thrown from the future; a dropped
-// connection fails every outstanding future with a std::runtime_error.
+// by tag, so many requests can be in flight on one connection. Every
+// request ends in one place, Complete(tag, Result), and its future resolves
+// with a Result whose status says how: kOk with the rows, kServerError with
+// the wire code of a kError frame (out-of-range start, overload rejection,
+// an expired deadline), kTimedOut, or kConnectionLost (torn connection,
+// failed send, Close(), or a submit while closed). A Submit future never
+// throws, so no exception crosses from the reader thread to the caller.
+// Walk() and FetchStats() turn a failed Result into an exception on the
+// caller's thread: ServerError, RequestTimeoutError or std::runtime_error.
 //
-// Robustness layer (all off by default — a default-constructed client
-// behaves exactly as before):
+// Robustness options (all off by default):
 //  - Options::connect_timeout_ms bounds Connect() (nonblocking connect +
 //    poll) instead of waiting out the kernel's SYN retries.
-//  - Options::request_timeout_ms arms a per-tag timer: a request with no
-//    answer inside the budget fails its future with RequestTimeoutError.
-//    The reader thread drives expiry, so pipelined requests time out
-//    independently.
+//  - Options::request_timeout_ms arms a per-tag timer on every request,
+//    walk or stats: one with no answer inside the budget resolves
+//    kTimedOut. The reader thread drives expiry, so pipelined requests time
+//    out independently.
 //  - Options::max_retries makes the blocking Walk() retry transient
 //    failures — connect refused, torn connection, request timeout, and the
 //    kOverloaded / kDraining / kDeadlineExceeded wire errors — with
@@ -54,10 +58,10 @@
 
 namespace flexi {
 
-// A per-request kError frame surfaced through a Submit future. Carries the
-// wire code so callers (and Walk's retry policy) can tell transient
-// conditions — kOverloaded, kDraining, kDeadlineExceeded — from permanent
-// ones without parsing the message.
+// Walk() and FetchStats() throw this for a request that ended in a kError
+// frame. Carries the wire code so callers can tell transient conditions —
+// kOverloaded, kDraining, kDeadlineExceeded — from permanent ones without
+// parsing the message.
 class ServerError : public std::runtime_error {
  public:
   ServerError(WireErrorCode code, const std::string& message)
@@ -68,9 +72,10 @@ class ServerError : public std::runtime_error {
   WireErrorCode code_;
 };
 
-// A request that blew through Options::request_timeout_ms with no answer.
-// The connection may still be healthy (the response is just late); Walk's
-// retry policy treats it as transient.
+// Walk() and FetchStats() throw this for a request that blew through
+// Options::request_timeout_ms with no answer. The connection may still be
+// healthy (the response is just late); Walk's retry policy treats it as
+// transient.
 class RequestTimeoutError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -94,16 +99,31 @@ class WalkClient {
     BackoffPolicy backoff;
   };
 
-  // One request's served walks: num_queries rows of path_stride nodes, in
-  // the order the request's starts were given, padded with kInvalidNode
-  // after dead ends — the same row format as WalkResult. first_query_id is
-  // the service-global id of the first row (docs/SERVING.md replay handle).
+  // How a request ended.
+  enum class Status : uint8_t {
+    kOk,
+    kServerError,     // a kError frame answered it; Result::code is its wire code
+    kTimedOut,        // Options::request_timeout_ms lapsed with no answer
+    kConnectionLost,  // torn connection, failed send, Close(), or submitted while closed
+  };
+
+  // One request's outcome. When ok(), a walk request's served walks are
+  // num_queries rows of path_stride nodes, in the order the request's starts
+  // were given, padded with kInvalidNode after dead ends — the same row
+  // format as WalkResult; first_query_id is the service-global id of the
+  // first row (docs/SERVING.md replay handle). A stats request's scrape is
+  // in `stats`. Otherwise no rows are set and `error` says what went wrong.
   struct Result {
+    Status status = Status::kOk;
+    WireErrorCode code{};  // set only when status is kServerError
+    std::string error;
     uint64_t first_query_id = 0;
     uint32_t path_stride = 0;
     size_t num_queries = 0;
     std::vector<NodeId> paths;
+    std::string stats;
 
+    bool ok() const { return status == Status::kOk; }
     std::span<const NodeId> Path(size_t query) const {
       return {paths.data() + query * path_stride, path_stride};
     }
@@ -123,10 +143,9 @@ class WalkClient {
   bool Connect(const std::string& host, uint16_t port, std::string* error = nullptr);
 
   // Sends the request now and returns a future for its result; safe to call
-  // again before earlier futures resolve (pipelining). After Close or a
-  // connection failure the future holds a std::runtime_error; server-side
-  // per-request errors throw ServerError; an armed request_timeout_ms throws
-  // RequestTimeoutError.
+  // again before earlier futures resolve (pipelining). The future never
+  // throws: it resolves with a Result whose status tells a served request
+  // from a server error, a timeout or a lost connection.
   //
   // `workload_id` routes to a server-side registered workload (0 = the
   // default workload). `deadline_us` > 0 attaches a relative latency
@@ -135,22 +154,23 @@ class WalkClient {
                              uint64_t deadline_us = 0);
 
   // Blocking convenience: Submit + get, plus the retry/backoff loop when
-  // Options::max_retries > 0 (see the header comment for the policy).
+  // Options::max_retries > 0 (see the header comment for the policy). Once
+  // it gives up, it throws on the caller's thread: ServerError for a kError
+  // frame, RequestTimeoutError for a timeout, std::runtime_error for a lost
+  // connection or a failed reconnect.
   Result Walk(std::vector<NodeId> starts, uint32_t workload_id = 0, uint64_t deadline_us = 0);
 
-  // Telemetry scrape: sends a kStatsRequest and resolves with the server's
+  // Telemetry scrape: sends a kStatsRequest and returns the server's
   // metrics registry rendered as Prometheus text (docs/OBSERVABILITY.md).
-  // Pipelines with Submit like any other request; fails like one too
-  // (closed connection, pre-stats servers answer kMalformedFrame and drop
-  // the connection — the future then carries that error).
-  std::future<std::string> SubmitStatsRequest();
-
-  // Blocking convenience: SubmitStatsRequest + get.
+  // Pipelines with Submit and ends like any other request, timer included;
+  // a failure throws as Walk's would, without retries. A pre-stats server
+  // answers kMalformedFrame and drops the connection, so that throws
+  // ServerError.
   std::string FetchStats();
 
-  // Fails outstanding futures and tears the connection down. Idempotent.
-  // The remembered endpoint survives, so a later Walk() with retries can
-  // still reconnect.
+  // Ends outstanding requests as connection lost and tears the connection
+  // down. Idempotent. The remembered endpoint survives, so a later Walk()
+  // with retries can still reconnect.
   void Close();
 
   bool connected() const;
@@ -158,15 +178,25 @@ class WalkClient {
   uint64_t retries_attempted() const { return retries_attempted_; }
 
  private:
+  // A request awaiting its ending.
+  struct Pending {
+    std::promise<Result> promise;
+    std::chrono::steady_clock::time_point expiry;  // max() when no timer is armed
+  };
+
   void ReceiveLoop();
-  // As Submit, also reporting the wire tag used (for the retry loop's
-  // bookkeeping).
-  std::future<Result> SubmitTagged(std::vector<NodeId> starts, uint32_t workload_id,
-                                   uint64_t deadline_us, uint64_t* tag_out);
-  // Fails every pending future with `error` and marks the client closed.
-  void FailAllPending(std::exception_ptr error);
-  void FailAllPending(const std::string& reason);
-  // Fails pending requests whose request_timeout_ms deadline has passed;
+  // Every request, walk or stats, starts here: registers a pending entry
+  // under a fresh tag, then sends the frame `append_frame(bytes, tag)`
+  // writes.
+  template <typename AppendFrame>
+  std::future<Result> Start(AppendFrame append_frame);
+  // Every request ends here: resolves the tag's future with `result`,
+  // unless an earlier ending already did.
+  void Complete(uint64_t tag, Result result);
+  // Marks the client closed and completes everything outstanding with
+  // `failure`.
+  void FailAllPending(const Result& failure);
+  // Completes pending requests whose request_timeout_ms expiry has passed;
   // called from the reader thread (its recv is paced by SO_RCVTIMEO when
   // timers are armed).
   void SweepExpired();
@@ -182,11 +212,8 @@ class WalkClient {
   int fd_ = -1;
   std::thread reader_;
 
-  mutable std::mutex mutex_;  // guards pending_, pending_stats_, deadlines_, next_tag_, open_
-  std::unordered_map<uint64_t, std::promise<Result>> pending_;
-  std::unordered_map<uint64_t, std::promise<std::string>> pending_stats_;
-  // tag -> absolute expiry, entries only when request_timeout_ms is armed.
-  std::unordered_map<uint64_t, std::chrono::steady_clock::time_point> deadlines_;
+  mutable std::mutex mutex_;  // guards pending_, next_tag_, open_
+  std::unordered_map<uint64_t, Pending> pending_;
   uint64_t next_tag_ = 1;
   bool open_ = false;
 

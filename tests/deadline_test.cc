@@ -179,12 +179,11 @@ TEST(DeadlineShedding, LapsedAtFlushIsShedAndSurvivorsStayBitIdentical) {
   std::vector<NodeId> survivor_starts = Range(40, 45);
   std::future<WalkClient::Result> survivor = client.Submit(survivor_starts);
 
-  try {
-    doomed.get();
-    FAIL() << "a request whose deadline lapses in the pending window must be shed at flush";
-  } catch (const ServerError& e) {
-    EXPECT_EQ(e.code(), WireErrorCode::kDeadlineExceeded);
-  }
+  // A request whose deadline lapses in the pending window must be shed at
+  // flush.
+  WalkClient::Result shed = doomed.get();
+  EXPECT_EQ(shed.status, WalkClient::Status::kServerError);
+  EXPECT_EQ(shed.code, WireErrorCode::kDeadlineExceeded);
   WalkClient::Result survived = survivor.get();
   EXPECT_EQ(survived.first_query_id, 0u);  // the shed request consumed no ids
   WalkResult reference =
@@ -278,20 +277,35 @@ TEST(Cancellation, CancelledBatchLeavesLaterBatchesBitIdentical) {
 
 // --------------------------------------------------------- client timeouts --
 
-TEST(ClientRetry, RequestTimeoutFiresAndRetriesAreCounted) {
-  // An accept-only listener: connections succeed, requests are never
-  // answered — every attempt must fail on the client's own timer.
+// An accept-only loopback listener: connections succeed (the kernel
+// completes the handshake from the backlog), requests are never answered.
+// Returns the listening fd, or -1, and sets *port.
+int ListenSilently(uint16_t* port) {
   int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(listener, 0);
+  if (listener < 0) {
+    return -1;
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = 0;
-  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  ASSERT_EQ(::listen(listener, 4), 0);
   socklen_t len = sizeof(addr);
-  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  uint16_t port = ntohs(addr.sin_port);
+  if (::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(listener, 4) != 0 ||
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    ::close(listener);
+    return -1;
+  }
+  *port = ntohs(addr.sin_port);
+  return listener;
+}
+
+TEST(ClientRetry, RequestTimeoutFiresAndRetriesAreCounted) {
+  // An accept-only listener: every attempt must fail on the client's own
+  // timer.
+  uint16_t port = 0;
+  int listener = ListenSilently(&port);
+  ASSERT_GE(listener, 0);
 
   WalkClient::Options options;
   options.request_timeout_ms = 50;
@@ -309,6 +323,43 @@ TEST(ClientRetry, RequestTimeoutFiresAndRetriesAreCounted) {
   // 10 and 20 ms: anything faster means a timer or a backoff never ran.
   EXPECT_GE(elapsed.count(), 170);
   client.Close();
+  ::close(listener);
+}
+
+TEST(ClientTimeout, SilentListenerEndsSubmitsAndStatsScrapesWithAStatus) {
+  uint16_t port = 0;
+  int listener = ListenSilently(&port);
+  ASSERT_GE(listener, 0);
+  WalkClient::Options options;
+  options.request_timeout_ms = 50;
+  WalkClient client(options);
+  ASSERT_TRUE(client.Connect("127.0.0.1", port));
+
+  // An unanswered request resolves kTimedOut on the client's own timer; the
+  // connection itself stays up.
+  WalkClient::Result timed_out = client.Submit({1}).get();
+  EXPECT_EQ(timed_out.status, WalkClient::Status::kTimedOut);
+  EXPECT_TRUE(client.connected());
+
+  // A stats scrape runs on the same timer, so it fails instead of hanging.
+  auto begin = std::chrono::steady_clock::now();
+  EXPECT_THROW(client.FetchStats(), RequestTimeoutError);
+  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - begin);
+  EXPECT_GE(elapsed.count(), 50);
+  EXPECT_LT(elapsed.count(), 5000);
+  client.Close();
+
+  // Close() ends an outstanding request as connection lost, and so does a
+  // submit after it. No timer here, so only Close() can end the request.
+  WalkClient patient;
+  ASSERT_TRUE(patient.Connect("127.0.0.1", port));
+  std::future<WalkClient::Result> outstanding = patient.Submit({2});
+  patient.Close();
+  EXPECT_EQ(outstanding.get().status, WalkClient::Status::kConnectionLost);
+  WalkClient::Result after_close = patient.Submit({3}).get();
+  EXPECT_EQ(after_close.status, WalkClient::Status::kConnectionLost);
+  EXPECT_FALSE(after_close.error.empty());
   ::close(listener);
 }
 
@@ -349,13 +400,9 @@ TEST(Drain, BeginDrainRejectsNewRequestsAndFinishesAdmittedWork) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // New requests on existing connections are answered kDraining...
-  std::future<WalkClient::Result> rejected = client.Submit({1});
-  try {
-    rejected.get();
-    FAIL() << "a request submitted during drain must be rejected";
-  } catch (const ServerError& e) {
-    EXPECT_EQ(e.code(), WireErrorCode::kDraining);
-  }
+  WalkClient::Result rejected = client.Submit({1}).get();
+  EXPECT_EQ(rejected.status, WalkClient::Status::kServerError);
+  EXPECT_EQ(rejected.code, WireErrorCode::kDraining);
   // ...while already-admitted work runs to completion and is delivered.
   EXPECT_EQ(admitted.get().num_queries, 4u);
   drainer.join();

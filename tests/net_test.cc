@@ -729,6 +729,18 @@ TEST(WalkServerEndToEnd, OutOfRangeStartFailsThatRequestOnly) {
   EXPECT_EQ(result.num_queries, 2u);
   EXPECT_EQ(result.paths[0], 1u);
   EXPECT_EQ(stack.server->requests_rejected(), 1u);
+
+  // Through a future the same failure is a status, not an exception, and
+  // the connection again serves the next request.
+  WalkClient::Result failed = client.Submit({stack.graph.num_nodes() + 5}).get();
+  EXPECT_EQ(failed.status, WalkClient::Status::kServerError);
+  EXPECT_EQ(failed.code, WireErrorCode::kNodeOutOfRange);
+  EXPECT_NE(failed.error.find("node out of range"), std::string::npos);
+  EXPECT_EQ(failed.num_queries, 0u);
+  WalkClient::Result next = client.Submit({3}).get();
+  EXPECT_TRUE(next.ok());
+  EXPECT_EQ(next.num_queries, 1u);
+  EXPECT_EQ(stack.server->requests_rejected(), 2u);
 }
 
 TEST(WalkServerEndToEnd, OversizedRequestRejectedWithoutKillingConnection) {
@@ -1248,14 +1260,10 @@ TEST(WalkServerFaults, DeadlineExpiryWhileParkedAnswersAndDrains) {
   WalkClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()));
   std::future<WalkClient::Result> admitted = client.Submit(Range(0, 8));
-  std::future<WalkClient::Result> parked =
-      client.Submit({1}, /*workload_id=*/0, /*deadline_us=*/30'000);
-  try {
-    parked.get();
-    FAIL() << "the parked request's deadline lapsed; it must not complete";
-  } catch (const ServerError& e) {
-    EXPECT_EQ(e.code(), WireErrorCode::kDeadlineExceeded);
-  }
+  // The parked request's deadline lapses; it must not complete.
+  WalkClient::Result parked = client.Submit({1}, /*workload_id=*/0, /*deadline_us=*/30'000).get();
+  EXPECT_EQ(parked.status, WalkClient::Status::kServerError);
+  EXPECT_EQ(parked.code, WireErrorCode::kDeadlineExceeded);
   // The admitted batch is untouched by the shed, and nothing leaks: a
   // parked request holds no admission slot, so its expiry must leave the
   // coalescer's accounting exactly balanced.
