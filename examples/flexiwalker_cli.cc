@@ -310,7 +310,8 @@ void PrintUsage() {
     }
     std::printf("%s\n          %s\n", line.c_str(), flag.help);
   }
-  std::printf("exit codes: 0 ok | %d usage | %d unsupported engine | %d malformed input\n",
+  std::printf("exit codes: 0 ok | %d usage or a failed --connect request | %d unsupported engine | "
+              "%d malformed input\n",
               kExitUsage, kExitUnsupportedEngine, kExitMalformedInput);
 }
 
@@ -841,6 +842,7 @@ int Client(const Args& args, std::ofstream& out) {
   const uint64_t deadline_us = args.Num("--deadline-us");
   uint64_t requests = 0;
   uint64_t queries = 0;
+  uint64_t failed = 0;
   std::string line;
   while (std::getline(std::cin, line)) {
     if (line == "quit") {
@@ -868,9 +870,11 @@ int Client(const Args& args, std::ofstream& out) {
         WriteWalks(out, result);
       }
     } catch (const std::exception& e) {
-      // Per-request server errors (out-of-range start, overload rejection)
-      // keep the session alive; a dead connection ends it.
+      // Per-request failures (a server error such as an out-of-range start
+      // or an overload rejection, a request timeout) keep the session
+      // alive but fail its exit code; a dead connection ends it.
       std::fprintf(stderr, "request failed: %s\n", e.what());
+      ++failed;
       if (!client.connected()) {
         return kExitUsage;
       }
@@ -879,7 +883,7 @@ int Client(const Args& args, std::ofstream& out) {
   client.Close();
   std::printf("received %llu results (%llu walks)\n", static_cast<unsigned long long>(requests),
               static_cast<unsigned long long>(queries));
-  return 0;
+  return failed == 0 ? 0 : kExitUsage;
 }
 
 // Builds the graph and workload, then serves them (--serve, --listen) or

@@ -61,6 +61,38 @@ StepVars ComputeStepVars(const WalkContext& ctx, const QueryState& q) {
   return vars;
 }
 
+bool IsScalarAtom(const WeightExpr& expr) {
+  return expr.kind == ExprKind::kConst || expr.kind == ExprKind::kAuxPow ||
+         expr.kind == ExprKind::kTimeDecay;
+}
+
+// Folds a branch return of the form h, s, h × s or s × h (s a scalar atom)
+// into `term`; false for any other shape. s takes the value EvalExpr gives
+// it, so folded and tree helpers read every atom alike. The products agree
+// bit for bit: IEEE multiplication commutes, and a bare h is h × 1.0, which
+// is exact.
+bool FoldReturn(const WeightExpr& expr, GeneratedHelpers::FoldedTerm& term) {
+  const WeightExpr* scalar = &expr;
+  if (expr.kind == ExprKind::kPropertyWeight) {
+    term.uses_h = true;
+    return true;
+  }
+  if (expr.kind == ExprKind::kMul) {
+    bool h_left = expr.left->kind == ExprKind::kPropertyWeight;
+    bool h_right = expr.right->kind == ExprKind::kPropertyWeight;
+    if (h_left == h_right) {
+      return false;  // h × h, or a product without h
+    }
+    scalar = h_left ? expr.right.get() : expr.left.get();
+    term.uses_h = true;
+  }
+  if (!IsScalarAtom(*scalar)) {
+    return false;
+  }
+  term.factor = EvalExpr(*scalar, 1.0, 1.0, 1.0, 1.0);
+  return true;
+}
+
 }  // namespace
 
 GeneratedHelpers Generator::Generate(const WeightProgram& program) const {
@@ -73,37 +105,50 @@ GeneratedHelpers Generator::Generate(const WeightProgram& program) const {
     helpers.plan_.need_h_max = helpers.analysis_.uses_property_weight;
     helpers.plan_.need_h_sum = helpers.analysis_.uses_property_weight;
   }
+  const std::vector<BranchAnalysis>& branches = helpers.analysis_.branches;
+  double uniform_share = 1.0 / static_cast<double>(branches.size());
+  helpers.folded_ = true;
+  for (const BranchAnalysis& branch : branches) {
+    GeneratedHelpers::FoldedTerm term;
+    term.share = branch.selectivity >= 0.0 ? branch.selectivity : uniform_share;
+    helpers.folded_ = FoldReturn(branch.return_expr, term) && helpers.folded_;
+    helpers.terms_.push_back(term);
+  }
   return helpers;
 }
 
 double GeneratedHelpers::WeightMax(const WalkContext& ctx, const QueryState& q) const {
-  StepVars vars = ComputeStepVars(ctx, q);
   // h -> per-node maximum (preprocessed); 1.0 on unweighted graphs.
   double h_max = 1.0;
   if (plan_.need_h_max && ctx.preprocessed != nullptr && !ctx.preprocessed->empty()) {
     h_max = ctx.preprocessed->h_max[q.cur];
-    // h_MAX and h_SUM are laid out as one packed float2 per node, so the
-    // selector's whole per-step estimate is a single 8-byte load; the
-    // companion WeightSum call rides on it. The load is issued alongside
-    // the step's first adjacency transaction and hides in its latency, so
-    // its marginal cost is one transaction of bandwidth, not a serialized
-    // random access.
+    // The host keeps h_MAX and h_SUM as two arrays, but the device model
+    // charges them as the GPU layout reads them: one packed float2 per
+    // node, a single 8-byte load that the companion WeightSum call rides
+    // on. It goes out alongside the step's first adjacency transaction
+    // and hides in its latency, so its marginal cost is one transaction of
+    // bandwidth, not a serialized random access.
     ctx.mem().LoadCoalesced(1, 2 * sizeof(float));
   }
   double best = 0.0;
-  for (const BranchAnalysis& branch : analysis_.branches) {
-    double value = EvalExpr(branch.return_expr, h_max, vars.inv_deg_cur, vars.inv_deg_prev,
-                            vars.max_deg);
-    best = std::max(best, value);
-    ctx.mem().CountAlu(2);
+  if (folded_) {
+    for (const FoldedTerm& term : terms_) {
+      best = std::max(best, term.uses_h ? h_max * term.factor : term.factor);
+    }
+  } else {
+    StepVars vars = ComputeStepVars(ctx, q);
+    for (const BranchAnalysis& branch : analysis_.branches) {
+      best = std::max(best, EvalExpr(branch.return_expr, h_max, vars.inv_deg_cur,
+                                     vars.inv_deg_prev, vars.max_deg));
+    }
   }
+  ctx.mem().CountAlu(2 * terms_.size());
   // Kernels evaluate transition weights in float; pad by one float ulp-scale
   // factor so the bound dominates the rounded weights too.
   return best * (1.0 + 1e-6);
 }
 
 double GeneratedHelpers::WeightSum(const WalkContext& ctx, const QueryState& q) const {
-  StepVars vars = ComputeStepVars(ctx, q);
   double degree = std::max<uint32_t>(ctx.graph->Degree(q.cur), 1);
   double h_sum = 1.0;
   bool per_step_h = plan_.need_h_sum && ctx.preprocessed != nullptr && !ctx.preprocessed->empty();
@@ -111,26 +156,31 @@ double GeneratedHelpers::WeightSum(const WalkContext& ctx, const QueryState& q) 
     // Shares the packed float2 transaction charged by WeightMax.
     h_sum = ctx.preprocessed->h_sum[q.cur];
   }
-  // Accumulate possible return values. With known selectivities, weight each
-  // branch by its probability; otherwise divide by the number of unique
-  // return values (Fig. 9d).
+  // Accumulate possible return values, each weighted by its branch's share
+  // (Fig. 9d). For PER_STEP h-indexed programs, h_SUM already aggregates
+  // over the degree, so an h term scales it directly; without h
+  // aggregation the sum is emulated as the per-edge average times the
+  // degree (PER_KERNEL path in Fig. 9d).
   double total = 0.0;
-  double uniform_share = 1.0 / static_cast<double>(analysis_.branches.size());
-  for (const BranchAnalysis& branch : analysis_.branches) {
-    double share = branch.selectivity >= 0.0 ? branch.selectivity : uniform_share;
-    // For PER_STEP h-indexed programs, h_SUM already aggregates over the
-    // degree, so the branch term contributes h_sum-scaled values directly.
-    double h_value = branch.uses_property_weight && per_step_h ? h_sum : 1.0;
-    double value = EvalExpr(branch.return_expr, h_value, vars.inv_deg_cur, vars.inv_deg_prev,
-                            vars.max_deg);
-    if (!branch.uses_property_weight || !per_step_h) {
-      // No h aggregation available: emulate the sum by multiplying the
-      // per-edge average by the degree (PER_KERNEL path in Fig. 9d).
-      value *= degree;
+  if (folded_) {
+    for (const FoldedTerm& term : terms_) {
+      double value = term.uses_h && per_step_h ? h_sum * term.factor : term.factor * degree;
+      total += term.share * value;
     }
-    total += share * value;
-    ctx.mem().CountAlu(3);
+  } else {
+    StepVars vars = ComputeStepVars(ctx, q);
+    for (size_t i = 0; i < terms_.size(); ++i) {
+      const BranchAnalysis& branch = analysis_.branches[i];
+      bool h_aggregated = branch.uses_property_weight && per_step_h;
+      double value = EvalExpr(branch.return_expr, h_aggregated ? h_sum : 1.0, vars.inv_deg_cur,
+                              vars.inv_deg_prev, vars.max_deg);
+      if (!h_aggregated) {
+        value *= degree;
+      }
+      total += terms_[i].share * value;
+    }
   }
+  ctx.mem().CountAlu(3 * terms_.size());
   return total;
 }
 

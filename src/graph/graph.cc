@@ -132,8 +132,23 @@ Graph Graph::BlockView(std::span<const EdgeId> row_ptr, EdgeId edge_base,
 }
 
 bool Graph::HasEdge(NodeId v, NodeId u) const {
-  std::span<const NodeId> row = Neighbors(v);
-  return std::binary_search(row.begin(), row.end(), u);
+  // Lower bound without a data-dependent jump: each halving keeps the half
+  // holding the first element >= u by adding half × (comparison), which
+  // compiles to a conditional move where a ternary compiles to a jump, so
+  // a probe costs ceil(log2 d) loads and no mispredicted branches. Correct
+  // only because rows are sorted; duplicates are harmless (any copy of u
+  // is found).
+  const NodeId* base = col_ + (rp_[v] - edge_base_);
+  uint32_t n = Degree(v);
+  if (n == 0) {
+    return false;
+  }
+  while (n > 1) {
+    uint32_t half = n / 2;
+    base += half * static_cast<uint32_t>(base[half - 1] < u);
+    n -= half;
+  }
+  return *base == u;
 }
 
 void Graph::SetPropertyWeights(std::vector<float> weights) {

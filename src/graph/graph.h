@@ -85,7 +85,10 @@ class Graph {
   std::span<const NodeId> adjacency() const { return {col_, local_edges_}; }
   EdgeId local_edges() const { return local_edges_; }
 
-  // Binary search over the sorted adjacency of v; true iff edge (v,u) exists.
+  // True iff edge (v,u) exists: a branchless lower-bound search over v's
+  // row, which must be sorted (GraphBuilder sorts every row, and block
+  // files keep the order). Node2Vec's and 2nd-order PR's linked-to-prev
+  // probe, so it sits inside every eRJS trial and eRVS scan.
   bool HasEdge(NodeId v, NodeId u) const;
 
   // Edge property weight h(e); 1.0 for unweighted graphs.

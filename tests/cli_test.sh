@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Exit-code contract of flexiwalker_cli: 0 ok, 1 usage error or unreadable
-# file, 2 a serving mode under a baseline engine, 3 malformed input. A flag
-# given outside the modes it applies to is refused, never ignored, and the
-# walks written to --out do not depend on --threads, nor, for first-order
-# workloads, on whether the run is one-shot or out of core.
+# file, 2 a serving mode under a baseline engine, 3 malformed input. A
+# --connect session keeps going past a failed request (a server error or a
+# request timeout) and exits 1 after its "received ..." summary if any
+# request failed. A flag given outside the modes it applies to is refused,
+# never ignored, and the walks written to --out do not depend on --threads,
+# nor, for first-order workloads, on whether the run is one-shot or out of
+# core.
 #
 #   bash tests/cli_test.sh <path to flexiwalker_cli>
 set -u
@@ -79,6 +82,35 @@ for workload in deepwalk ppr; do
     fail "$workload --out walks differ between one-shot and out of core"
   fi
 done
+
+# --connect against a --listen server on an ephemeral port: a failed
+# request (an unregistered workload id, an out-of-range start) keeps the
+# session going, and the exit code reports it.
+mkfifo "$work/serverctl"
+"$cli" --dataset YT --workload deepwalk --length 8 --listen 0 < "$work/serverctl" \
+    > "$work/server.log" 2>&1 &
+server=$!
+exec 3> "$work/serverctl"
+port=
+for _ in $(seq 200); do
+  port=$(sed -n 's/^listening on 127\.0\.0\.1:\([0-9]*\) .*/\1/p' "$work/server.log")
+  [ -n "$port" ] && break
+  sleep 0.1
+done
+if [ -z "$port" ]; then
+  fail "--listen 0 printed no port"
+  sed 's/^/  server: /' "$work/server.log"
+else
+  expect 0 "0 1 2\n" --connect "$port"
+  expect 1 "0 1\n" --connect "$port" --workload-id 9
+  grep -q 'unknown workload' "$work/stderr" || fail "--workload-id 9 printed no 'unknown workload'"
+  expect 1 "99999999\n3 4\n" --connect "$port"
+  grep -q 'received 1 results (2 walks)' "$work/stdout" ||
+      fail "a failed request ended the --connect session"
+fi
+echo quit >&3
+exec 3>&-
+wait "$server" || fail "the --listen server exited non-zero"
 
 if [ "$failures" != 0 ]; then
   echo "$failures CLI contract check(s) failed"

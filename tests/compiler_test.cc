@@ -4,6 +4,12 @@
 // per-step maximum transition weight on every workload and graph tested.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/compiler/analyzer.h"
 #include "src/compiler/generator.h"
 #include "src/graph/generators.h"
@@ -13,6 +19,7 @@
 #include "src/walks/deepwalk.h"
 #include "src/walks/metapath.h"
 #include "src/walks/node2vec.h"
+#include "src/walks/ppr.h"
 #include "src/walks/second_order_pr.h"
 #include "src/walks/temporal.h"
 
@@ -326,6 +333,202 @@ TEST_P(BoundSoundnessTest, TemporalDecay) {
   AssignTimestamps(g, 10.0f, 84);
   TemporalDecayWalk walk(0.1, 8);
   CheckBoundsOnGraph(g, walk);
+}
+
+// --- Folded helpers against the tree evaluation they replace ---
+
+// The reference: Fig. 9d's substitution performed at every step by walking
+// each branch's expression tree, with the helpers' charges.
+double RefEval(const WeightExpr& e, double h, double inv_cur, double inv_prev, double max_deg) {
+  switch (e.kind) {
+    case ExprKind::kConst:
+    case ExprKind::kAuxPow:
+      return e.value;
+    case ExprKind::kPropertyWeight:
+      return h;
+    case ExprKind::kInvDegreeCur:
+      return inv_cur;
+    case ExprKind::kInvDegreePrev:
+      return inv_prev;
+    case ExprKind::kMaxDegreeCurPrev:
+      return max_deg;
+    case ExprKind::kAdd:
+      return RefEval(*e.left, h, inv_cur, inv_prev, max_deg) +
+             RefEval(*e.right, h, inv_cur, inv_prev, max_deg);
+    case ExprKind::kMul:
+      return RefEval(*e.left, h, inv_cur, inv_prev, max_deg) *
+             RefEval(*e.right, h, inv_cur, inv_prev, max_deg);
+    case ExprKind::kTimeDecay:
+      return 1.0;
+    case ExprKind::kOpaque:
+      return 0.0;
+  }
+  return 0.0;
+}
+
+struct RefStep {
+  double inv_cur, inv_prev, max_deg;
+};
+
+RefStep RefStepVars(const WalkContext& ctx, const QueryState& q) {
+  double dc = std::max<uint32_t>(ctx.graph->Degree(q.cur), 1);
+  if (q.prev == kInvalidNode) {
+    return {1.0 / dc, 1.0 / dc, dc};
+  }
+  double dp = std::max<uint32_t>(ctx.graph->Degree(q.prev), 1);
+  return {1.0 / dc, 1.0 / dp, std::max(dc, dp)};
+}
+
+bool HasPreprocessed(const WalkContext& ctx) {
+  return ctx.preprocessed != nullptr && !ctx.preprocessed->empty();
+}
+
+double RefWeightMax(const AnalysisResult& analysis, const WalkContext& ctx, const QueryState& q) {
+  RefStep s = RefStepVars(ctx, q);
+  double h_max = 1.0;
+  if (analysis.uses_property_weight && HasPreprocessed(ctx)) {
+    h_max = ctx.preprocessed->h_max[q.cur];
+    ctx.mem().LoadCoalesced(1, 2 * sizeof(float));
+  }
+  double best = 0.0;
+  for (const BranchAnalysis& branch : analysis.branches) {
+    best = std::max(best, RefEval(branch.return_expr, h_max, s.inv_cur, s.inv_prev, s.max_deg));
+    ctx.mem().CountAlu(2);
+  }
+  return best * (1.0 + 1e-6);
+}
+
+double RefWeightSum(const AnalysisResult& analysis, const WalkContext& ctx, const QueryState& q) {
+  RefStep s = RefStepVars(ctx, q);
+  double degree = std::max<uint32_t>(ctx.graph->Degree(q.cur), 1);
+  bool per_step_h = analysis.uses_property_weight && HasPreprocessed(ctx);
+  double h_sum = per_step_h ? ctx.preprocessed->h_sum[q.cur] : 1.0;
+  double total = 0.0;
+  double uniform_share = 1.0 / static_cast<double>(analysis.branches.size());
+  for (const BranchAnalysis& branch : analysis.branches) {
+    double share = branch.selectivity >= 0.0 ? branch.selectivity : uniform_share;
+    bool h_aggregated = branch.uses_property_weight && per_step_h;
+    double value = RefEval(branch.return_expr, h_aggregated ? h_sum : 1.0, s.inv_cur,
+                           s.inv_prev, s.max_deg);
+    if (!h_aggregated) {
+      value *= degree;
+    }
+    total += share * value;
+    ctx.mem().CountAlu(3);
+  }
+  return total;
+}
+
+void ExpectSameCharges(const CostCounters& got, const CostCounters& want) {
+  EXPECT_EQ(got.coalesced_transactions, want.coalesced_transactions);
+  EXPECT_EQ(got.random_transactions, want.random_transactions);
+  EXPECT_EQ(got.bytes_read, want.bytes_read);
+  EXPECT_EQ(got.bytes_written, want.bytes_written);
+  EXPECT_EQ(got.rng_draws, want.rng_draws);
+  EXPECT_EQ(got.alu_ops, want.alu_ops);
+  EXPECT_EQ(got.warp_collectives, want.warp_collectives);
+}
+
+// A hand-written program: both orders of h × s, s alone, and two returns
+// that must not fold (a product of two scalars, h × h).
+WeightProgram MixedShapesProgram(bool with_unfoldable) {
+  WeightProgram program;
+  program.workload_name = "mixed";
+  program.branches = {
+      {CondKind::kFirstStep, WeightExpr::Mul(WeightExpr::Const(0.3), WeightExpr::PropertyWeight()),
+       0.125},
+      {CondKind::kPostEqualsPrev,
+       WeightExpr::Mul(WeightExpr::PropertyWeight(), WeightExpr::AuxPow(0.7)), -1.0},
+      {CondKind::kOtherwise, WeightExpr::AuxPow(0.9), -1.0},
+  };
+  if (with_unfoldable) {
+    program.branches.push_back(
+        {CondKind::kOtherwise, WeightExpr::Mul(WeightExpr::Const(0.3), WeightExpr::Const(1.7)),
+         -1.0});
+    program.branches.push_back(
+        {CondKind::kOtherwise,
+         WeightExpr::Mul(WeightExpr::PropertyWeight(), WeightExpr::PropertyWeight()), -1.0});
+  }
+  return program;
+}
+
+// For every built-in program, WeightMax / WeightSum and their charges equal
+// the tree reference bit for bit, over a sweep of h_max, h_sum, current and
+// previous degrees, first-step states and a missing h reduction. Every
+// program but 2nd-order PR (degree atoms) folds.
+TEST(Generator, FoldedHelpersMatchTreeEvaluationBitForBit) {
+  // Sweep nodes 0..9 have these out-degrees (edges to distinct nodes).
+  const std::vector<uint32_t> degrees = {0, 1, 2, 3, 5, 7, 16, 33, 100, 1000};
+  const NodeId sweep_nodes = static_cast<NodeId>(degrees.size());
+  GraphBuilder builder(1024);
+  for (NodeId v = 0; v < sweep_nodes; ++v) {
+    for (NodeId u = 0; u < degrees[v]; ++u) {
+      builder.AddEdge(v, u);
+    }
+  }
+  Graph graph = builder.Build();
+  const std::vector<float> h_values = {0.0f, 1e-40f, 1e-30f, 0.1f,  0.5f,  1.0f,
+                                       1.5f, 3.7f,   1e3f,   1e30f, 3.4e38f};
+  PreprocessedData pre;
+  pre.h_max.assign(graph.num_nodes(), 0.0f);
+  pre.h_sum.assign(graph.num_nodes(), 0.0f);
+  PreprocessedData empty;
+  const PreprocessedData* reductions[] = {&pre, &empty, nullptr};
+  const std::vector<std::pair<std::string, WeightProgram>> programs = {
+      {"node2vec", Node2VecWalk(2.0, 0.5).program()},
+      {"node2vec-inexact", Node2VecWalk(3.0, 0.7).program()},
+      {"deepwalk", DeepWalk(4).program()},
+      {"ppr", PersonalizedPageRankWalk(0.15, 8).program()},
+      {"temporal", TemporalWalk(8).program()},
+      {"temporal-decay", TemporalDecayWalk(0.1, 8).program()},
+      {"autoregressive", AutoregressiveWalk(0.5, 8).program()},
+      {"metapath", MetaPathWalk({0, 1, 2, 3, 4}).program()},
+      {"2nd-pr", SecondOrderPageRankWalk(0.2).program()},
+      {"mixed", MixedShapesProgram(false)},
+      {"mixed-unfoldable", MixedShapesProgram(true)},
+  };
+  DeviceContext got_device(DeviceProfile::SimulatedGpu());
+  DeviceContext want_device(DeviceProfile::SimulatedGpu());
+  for (const auto& [name, program] : programs) {
+    SCOPED_TRACE(name);
+    GeneratedHelpers helpers = Generator().Generate(program);
+    AnalysisResult analysis = Analyzer().Analyze(program);
+    ASSERT_TRUE(helpers.valid());
+    EXPECT_EQ(helpers.folded(), name != "2nd-pr" && name != "mixed-unfoldable");
+    for (size_t sweep = 0; sweep < h_values.size(); ++sweep) {
+      for (NodeId v = 0; v < sweep_nodes; ++v) {
+        pre.h_max[v] = h_values[(sweep + v) % h_values.size()];
+        pre.h_sum[v] = h_values[(sweep + 3 * v + 1) % h_values.size()];
+      }
+      for (const PreprocessedData* reduction : reductions) {
+        for (NodeId cur = 0; cur < sweep_nodes; ++cur) {
+          for (NodeId prev = 0; prev <= sweep_nodes; ++prev) {
+            QueryState q;
+            q.cur = cur;
+            q.prev = prev == sweep_nodes ? kInvalidNode : prev;  // first step
+            q.step = q.prev == kInvalidNode ? 0 : 1;
+            SCOPED_TRACE(::testing::Message()
+                         << "degree " << graph.Degree(cur) << ", prev " << prev << ", h_max "
+                         << pre.h_max[cur] << ", h_sum " << pre.h_sum[cur] << ", reductions "
+                         << (reduction == nullptr ? "none" : reduction->empty() ? "empty" : "set"));
+            got_device.mem().Reset();
+            want_device.mem().Reset();
+            WalkContext got_ctx{&graph, &got_device, reduction, nullptr};
+            WalkContext want_ctx{&graph, &want_device, reduction, nullptr};
+            double got_max = helpers.WeightMax(got_ctx, q);
+            double got_sum = helpers.WeightSum(got_ctx, q);
+            double want_max = RefWeightMax(analysis, want_ctx, q);
+            double want_sum = RefWeightSum(analysis, want_ctx, q);
+            ASSERT_EQ(std::bit_cast<uint64_t>(got_max), std::bit_cast<uint64_t>(want_max))
+                << got_max << " vs " << want_max;
+            ASSERT_EQ(std::bit_cast<uint64_t>(got_sum), std::bit_cast<uint64_t>(want_sum))
+                << got_sum << " vs " << want_sum;
+            ExpectSameCharges(got_device.mem().counters(), want_device.mem().counters());
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -6,11 +6,14 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "src/graph/datasets.h"
 #include "src/graph/generators.h"
 #include "src/graph/int8_weights.h"
 #include "src/metrics/stats.h"
+#include "src/rng/philox.h"
 
 namespace flexi {
 namespace {
@@ -48,6 +51,81 @@ TEST(Graph, HasEdgeBinarySearch) {
     for (NodeId u = 0; u < 6; ++u) {
       EXPECT_EQ(g.HasEdge(v, u), v != u);
     }
+  }
+}
+
+// HasEdge is a branchless lower-bound search; on every sorted row it must
+// answer exactly as std::binary_search does. Rows of every length up to
+// 64, around each power of two up to 4096, and random lengths in 0..4096
+// hold strictly increasing ids with gaps, half of them near the top of the
+// id range; each row is probed below, between, on and above its values.
+TEST(Graph, HasEdgeMatchesBinarySearchOnSortedRows) {
+  PhiloxStream rng(0x4A5E, 0);
+  std::vector<uint32_t> lengths;
+  for (uint32_t n = 0; n <= 64; ++n) {
+    lengths.push_back(n);
+  }
+  for (uint32_t p = 7; p <= 12; ++p) {
+    lengths.insert(lengths.end(), {(1u << p) - 1, 1u << p});
+    if (p < 12) {
+      lengths.push_back((1u << p) + 1);
+    }
+  }
+  for (int i = 0; i < 32; ++i) {
+    lengths.push_back(rng.NextBounded(4097));
+  }
+  std::vector<EdgeId> row_ptr = {0};
+  std::vector<NodeId> col_idx;
+  for (size_t r = 0; r < lengths.size(); ++r) {
+    NodeId value = (r % 2 == 0 ? 1u : 0xFFFF0000u) + rng.NextBounded(16);
+    for (uint32_t i = 0; i < lengths[r]; ++i) {
+      col_idx.push_back(value);
+      value += 2 + rng.NextBounded(8);  // leaves a value between neighbours
+    }
+    row_ptr.push_back(col_idx.size());
+  }
+  Graph g(std::move(row_ptr), std::move(col_idx));
+  // A block view over the second half of the rows reads the same rows
+  // through a non-zero edge_base.
+  NodeId first_view_row = g.num_nodes() / 2;
+  EdgeId edge_base = g.EdgesBegin(first_view_row);
+  Graph view = Graph::BlockView(g.row_offsets(), edge_base, g.adjacency().subspan(edge_base), {},
+                                {}, 0, {}, g.MaxDegree());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    std::span<const NodeId> row = g.Neighbors(v);
+    std::vector<NodeId> probes = {0, 1, kInvalidNode - 1, kInvalidNode};
+    for (NodeId x : row) {
+      probes.insert(probes.end(), {x - 1, x, x + 1});
+    }
+    for (NodeId u : probes) {
+      bool expected = std::binary_search(row.begin(), row.end(), u);
+      ASSERT_EQ(g.HasEdge(v, u), expected) << "row " << v << " of length " << row.size()
+                                           << ", probe " << u;
+      if (v >= first_view_row) {
+        ASSERT_EQ(view.HasEdge(v, u), expected) << "view row " << v << ", probe " << u;
+      }
+    }
+  }
+}
+
+// The same on the probes Node2Vec makes: HasEdge(prev, u) for u a
+// neighbour of a neighbour of prev, plus random pairs, on a power-law graph
+// shaped like the EU stand-in.
+TEST(Graph, HasEdgeMatchesBinarySearchOnPowerLawGraph) {
+  Graph g = GenerateRmat({12, 24, 0.60, 0.18, 0.18, 105});
+  PhiloxStream rng(0x4A5F, 0);
+  for (int sample = 0; sample < 40000; ++sample) {
+    NodeId v = rng.NextBounded(g.num_nodes());
+    NodeId u = rng.NextBounded(g.num_nodes());
+    if (sample % 2 == 0 && g.Degree(v) > 0) {
+      NodeId cur = g.Neighbor(v, rng.NextBounded(g.Degree(v)));
+      if (g.Degree(cur) > 0) {
+        u = g.Neighbor(cur, rng.NextBounded(g.Degree(cur)));
+      }
+    }
+    std::span<const NodeId> row = g.Neighbors(v);
+    ASSERT_EQ(g.HasEdge(v, u), std::binary_search(row.begin(), row.end(), u))
+        << "edge (" << v << ", " << u << "), degree " << row.size();
   }
 }
 
