@@ -11,14 +11,15 @@
 // with nothing else running beside it.
 //
 // Phase 2: dispensation contention. First a pure QueryQueue drain (no
-// walking) showing what the global ticket counter costs by itself, then the
-// repeated-small-batch walk workload across {per-query, chunked,
-// chunked+steal} × thread counts, with QPS and p50/p99 batch latency per
-// config. The per-config numbers land in BENCH_scheduler.json (override
-// with --json <path>) so CI keeps a perf trajectory across PRs. Dispatch
-// counts are reported via QueryQueue::dispensed() — the clamped view —
-// so they never exceed the query total even though racing drainers
-// overshoot the raw ticket counter.
+// walking) showing what the global ticket counter costs by itself: the
+// paper's per-query ticketing against the adaptive chunks with stealing
+// every scheduler run uses. Then the repeated-small-batch walk workload
+// across thread counts, with QPS and p50/p99 batch latency per config. The
+// per-config numbers land in BENCH_scheduler.json (override with --json
+// <path>) so CI keeps a perf trajectory across PRs. Dispatch counts are
+// reported via QueryQueue::dispensed() — the clamped view — so they never
+// exceed the query total even though racing drainers overshoot the raw
+// ticket counter.
 //
 // Phase 3: wavefront stepping. The batched inner loop (scheduler.cc) at
 // widths {1, 4, 16} across thread counts, reported as steps/sec with W=1
@@ -28,9 +29,9 @@
 // (bench_util.h) so trajectory diffs are attributable.
 //
 // --quick shrinks every phase for CI smoke. Exit code is non-zero if paths
-// diverge anywhere (dispensation modes, wavefront widths, or thread counts
-// must never change a walk), if instrumentation costs more than the
-// overhead gate allows, or if a full run misses the scaling gate.
+// diverge anywhere (wavefront widths and thread counts must never change a
+// walk), if instrumentation costs more than the overhead gate allows, or if
+// a full run misses the scaling gate.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -54,15 +55,7 @@ namespace flexi {
 namespace {
 
 const char* ModeName(DispenseMode mode) {
-  switch (mode) {
-    case DispenseMode::kPerQuery:
-      return "per-query";
-    case DispenseMode::kChunked:
-      return "chunked";
-    case DispenseMode::kChunkedSteal:
-      return "chunked+steal";
-  }
-  return "?";
+  return mode == DispenseMode::kPerQuery ? "per-query" : "chunked+steal";
 }
 
 // Thread counts swept: powers of two up to hardware concurrency, always
@@ -85,12 +78,10 @@ std::vector<unsigned> SweepThreads() {
 
 struct SweepRow {
   unsigned threads = 0;
-  DispenseMode mode = DispenseMode::kPerQuery;
   double total_ms = 0.0;
   double qps = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
-  double speedup = 1.0;  // vs per-query at the same thread count
 };
 
 }  // namespace
@@ -174,9 +165,9 @@ int main(int argc, char** argv) {
   }
 
   // --- Phase 2a: pure dispensation drain — the ticket counter in isolation.
-  // T threads hammer one QueryQueue with no walk work at all; per-query mode
-  // is one contended global RMW per ticket, the chunked modes touch the
-  // global counter once per chunk. Dispatch counts use dispensed(), the
+  // T threads hammer one QueryQueue with no walk work at all; per-query
+  // ticketing is one contended global RMW per ticket, adaptive chunks touch
+  // the global counter once per chunk. Dispatch counts use dispensed(), the
   // clamped view, so the table never reports more tickets than exist.
   PrintHeader("Query dispensation drain", "ticket-counter contention, no walking");
   const size_t kDrainIds = quick ? 1'000'000 : 4'000'000;
@@ -184,9 +175,8 @@ int main(int argc, char** argv) {
   Table drain_table({"threads", "mode", "drain ms", "Mticket/s", "dispensed", "speedup"});
   for (unsigned threads : sweep_threads) {
     double per_query_ms = 0.0;
-    for (DispenseMode mode :
-         {DispenseMode::kPerQuery, DispenseMode::kChunked, DispenseMode::kChunkedSteal}) {
-      QueryQueue queue(drain_starts, threads, {mode, 0});
+    for (DispenseMode mode : {DispenseMode::kPerQuery, DispenseMode::kChunkedSteal}) {
+      QueryQueue queue(drain_starts, threads, mode);
       auto t0 = std::chrono::steady_clock::now();
       std::vector<std::thread> drainers;
       for (unsigned w = 0; w < threads; ++w) {
@@ -211,11 +201,11 @@ int main(int argc, char** argv) {
   }
   drain_table.Print();
 
-  // --- Phase 2b: the repeated-small-batch walk workload across dispensation
-  // modes. Cheap O(1) cached-alias steps (the served DeepWalk fast path) keep
-  // per-query work small enough that dispensation cost is visible; QPS and
-  // batch-latency percentiles per config feed BENCH_scheduler.json.
-  PrintHeader("Dispensation contention sweep", "repeated small batches x dispense mode");
+  // --- Phase 2b: the repeated-small-batch walk workload across thread
+  // counts. Cheap O(1) cached-alias steps (the served DeepWalk fast path)
+  // keep per-query work small enough that dispensation cost is visible; QPS
+  // and batch-latency percentiles per config feed BENCH_scheduler.json.
+  PrintHeader("Dispensation contention sweep", "repeated small batches x threads");
   Graph sweep_graph = GenerateErdosRenyi(4096, 8.0, 7);
   DeepWalk sweep_walk(4);
   const size_t kSweepQueries = quick ? 2048 : 4096;
@@ -231,56 +221,46 @@ int main(int argc, char** argv) {
   std::vector<SweepRow> rows;
   std::vector<NodeId> sweep_reference;
   for (unsigned threads : sweep_threads) {
-    double per_query_ms = 0.0;
-    for (DispenseMode mode :
-         {DispenseMode::kPerQuery, DispenseMode::kChunked, DispenseMode::kChunkedSteal}) {
-      SchedulerOptions options;
-      options.num_threads = threads;
-      options.dispense = {mode, 0};
-      WalkScheduler scheduler(options);
-      scheduler.Run(sweep_graph, sweep_walk, sweep_starts, kBenchSeed, cached_step);  // warm-up
-      std::vector<double> batch_ms;
-      batch_ms.reserve(kSweepBatches);
-      double total_ms = 0.0;
-      for (int b = 0; b < kSweepBatches; ++b) {
-        WalkResult result =
-            scheduler.Run(sweep_graph, sweep_walk, sweep_starts, kBenchSeed, cached_step);
-        batch_ms.push_back(result.wall_ms);
-        total_ms += result.wall_ms;
-        if (b == 0) {
-          if (sweep_reference.empty()) {
-            sweep_reference = std::move(result.paths);
-          } else if (result.paths != sweep_reference) {
-            paths_ok = false;
-            std::printf("PATH DIVERGENCE: threads=%u mode=%s\n", threads, ModeName(mode));
-          }
+    SchedulerOptions options;
+    options.num_threads = threads;
+    WalkScheduler scheduler(options);
+    scheduler.Run(sweep_graph, sweep_walk, sweep_starts, kBenchSeed, cached_step);  // warm-up
+    std::vector<double> batch_ms;
+    batch_ms.reserve(kSweepBatches);
+    double total_ms = 0.0;
+    for (int b = 0; b < kSweepBatches; ++b) {
+      WalkResult result =
+          scheduler.Run(sweep_graph, sweep_walk, sweep_starts, kBenchSeed, cached_step);
+      batch_ms.push_back(result.wall_ms);
+      total_ms += result.wall_ms;
+      if (b == 0) {
+        if (sweep_reference.empty()) {
+          sweep_reference = std::move(result.paths);
+        } else if (result.paths != sweep_reference) {
+          paths_ok = false;
+          std::printf("PATH DIVERGENCE: threads=%u\n", threads);
         }
       }
-      SweepRow row;
-      row.threads = threads;
-      row.mode = mode;
-      row.total_ms = total_ms;
-      row.qps = static_cast<double>(kSweepQueries) * kSweepBatches / (total_ms / 1000.0);
-      std::sort(batch_ms.begin(), batch_ms.end());
-      row.p50_ms = obs::PercentileOfSorted(batch_ms, 0.50);
-      row.p99_ms = obs::PercentileOfSorted(batch_ms, 0.99);
-      if (mode == DispenseMode::kPerQuery) {
-        per_query_ms = total_ms;
-      }
-      row.speedup = per_query_ms / total_ms;
-      rows.push_back(row);
     }
+    SweepRow row;
+    row.threads = threads;
+    row.total_ms = total_ms;
+    row.qps = static_cast<double>(kSweepQueries) * kSweepBatches / (total_ms / 1000.0);
+    std::sort(batch_ms.begin(), batch_ms.end());
+    row.p50_ms = obs::PercentileOfSorted(batch_ms, 0.50);
+    row.p99_ms = obs::PercentileOfSorted(batch_ms, 0.99);
+    rows.push_back(row);
   }
 
-  Table sweep_table({"threads", "mode", "total ms", "QPS", "p50 ms", "p99 ms", "speedup"});
+  const char* sweep_mode = ModeName(DispenseMode::kChunkedSteal);
+  Table sweep_table({"threads", "mode", "total ms", "QPS", "p50 ms", "p99 ms"});
   for (const SweepRow& row : rows) {
-    sweep_table.AddRow({std::to_string(row.threads), ModeName(row.mode),
-                        Table::Num(row.total_ms), Table::Num(row.qps), Table::Num(row.p50_ms),
-                        Table::Num(row.p99_ms), Table::Num(row.speedup) + "x"});
+    sweep_table.AddRow({std::to_string(row.threads), sweep_mode, Table::Num(row.total_ms),
+                        Table::Num(row.qps), Table::Num(row.p50_ms), Table::Num(row.p99_ms)});
   }
   sweep_table.Print();
   std::printf(
-      "paths identical across dispensation modes and thread counts: %s\n"
+      "paths identical across thread counts: %s\n"
       "(chunked claiming hits the global counter O(total/K) times; stealing\n"
       "rebalances drained cursors — query_queue.h)\n",
       paths_ok ? "yes" : "NO");
@@ -389,11 +369,13 @@ int main(int argc, char** argv) {
   // --- BENCH_scheduler.json: the sweeps' per-config numbers for CI trend
   // tracking. Schema: {meta: {bench, quick, git_sha, date_utc,
   // hardware_concurrency}, bench, quick, hardware_concurrency, workload,
-  // configs:[{threads, mode, total_ms, qps, p50_ms, p99_ms,
-  // speedup_vs_per_query}], wavefront_configs:[{threads, wavefront,
-  // wall_ms, steps_per_sec, speedup_vs_w1}], scaling_configs:[{threads,
-  // wall_ms, speedup_vs_1_thread}]}. The pre-meta top-level fields are kept
-  // so older trajectory tooling still parses new files.
+  // configs:[{threads, mode, total_ms, qps, p50_ms, p99_ms}],
+  // wavefront_configs:[{threads, wavefront, wall_ms, steps_per_sec,
+  // speedup_vs_w1}], scaling_configs:[{threads, wall_ms,
+  // speedup_vs_1_thread}]}. Every configs row's mode is "chunked+steal", so
+  // trajectory diffs keep matching earlier files' rows of that mode. The
+  // pre-meta top-level fields are kept so older trajectory tooling still
+  // parses new files.
   if (std::FILE* json = std::fopen(json_path.c_str(), "w")) {
     std::fprintf(json, "{\n");
     WriteBenchMetaJson(json, "scheduler_scaling", quick);
@@ -407,10 +389,9 @@ int main(int argc, char** argv) {
       const SweepRow& row = rows[i];
       std::fprintf(json,
                    "    {\"threads\": %u, \"mode\": \"%s\", \"total_ms\": %.3f, "
-                   "\"qps\": %.1f, \"p50_ms\": %.4f, \"p99_ms\": %.4f, "
-                   "\"speedup_vs_per_query\": %.3f}%s\n",
-                   row.threads, ModeName(row.mode), row.total_ms, row.qps, row.p50_ms,
-                   row.p99_ms, row.speedup, i + 1 == rows.size() ? "" : ",");
+                   "\"qps\": %.1f, \"p50_ms\": %.4f, \"p99_ms\": %.4f}%s\n",
+                   row.threads, sweep_mode, row.total_ms, row.qps, row.p50_ms, row.p99_ms,
+                   i + 1 == rows.size() ? "" : ",");
     }
     std::fprintf(json, "  ],\n  \"wavefront_configs\": [\n");
     for (size_t i = 0; i < wave_rows.size(); ++i) {

@@ -129,11 +129,8 @@ constexpr Flag kFlags[] = {
     Num("--seed", "2026", 0, std::numeric_limits<uint64_t>::max(), kLocal | kConnect,
         "RNG seed (--connect: retry backoff jitter)"),
     Text("--out", "path", kOneShot | kOutOfCore | kServe | kConnect, "write walks, one per line"),
-    // The queue and the scheduler clamp these; reject rather than silently
-    // shrink a wild request.
-    Num("--chunk", "0", 0, kMaxDispenseChunk, kLocal,
-        "query ids claimed per global-counter RMW; 0 = adaptive", true),
-    Choice("--steal", "on|off", kLocal, "work-stealing between worker chunk cursors", true),
+    // The scheduler clamps this; reject rather than silently shrink a wild
+    // request.
     Num("--wavefront", "0", 0, kMaxWavefront, kLocal,
         "in-flight walks per worker; 0 = scheduler default, 1 = walk-at-a-time", true),
     Choice("--jit", "off|on|auto", kLocal,
@@ -294,8 +291,8 @@ void PrintUsage() {
       "given --block-bytes or --cache-blocks (first-order workloads) | s --serve |\n"
       "l --listen | c --connect | m --connect --stats. A flag outside its modes is a\n"
       "usage error. f: needs --engine flexiwalker. Walk paths are identical for any\n"
-      "--threads, --chunk, --steal, --wavefront and --jit. Serving: docs/SERVING.md;\n"
-      "telemetry: docs/OBSERVABILITY.md.\n\n");
+      "--threads, --wavefront and --jit. Serving: docs/SERVING.md; telemetry:\n"
+      "docs/OBSERVABILITY.md.\n\n");
   for (const Flag& flag : kFlags) {
     std::string line = "  ------  " + std::string(flag.name);
     for (unsigned m = 0; m < std::size(kModeNames); ++m) {
@@ -387,8 +384,6 @@ FlexiWalkerOptions FlexiOptions(const Args& args) {
   FlexiWalkerOptions options;
   options.host_threads = static_cast<unsigned>(args.Num("--threads"));
   options.cache_static_tables = args.Given("--static-cache");
-  options.dispense.chunk_size = static_cast<uint32_t>(args.Num("--chunk"));
-  options.dispense.mode = args.On("--steal") ? DispenseMode::kChunkedSteal : DispenseMode::kChunked;
   options.wavefront = static_cast<uint32_t>(args.Num("--wavefront"));
   jit::ParseJitMode(args.Str("--jit"), &options.jit);  // the row admits only its choices
   options.jit_cache_dir = args.Str("--jit-cache-dir");

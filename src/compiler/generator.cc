@@ -206,12 +206,23 @@ std::string GeneratedHelpers::EmitSource() const {
     out << "  max_val = max(max_val, " << branch.return_expr.ToString() << ");\n";
   }
   out << "  return max_val;  // h := h_MAX[curr]\n}\n";
+  // WeightSum's terms: each branch weighted by its share; h aggregated as
+  // h_SUM[curr] where the plan preprocesses it, any other term scaled by
+  // the degree (the per-edge value summed over the row).
   out << "get_weight_sum(curr, prev) {\n  sum_val = 0;\n";
-  for (const BranchAnalysis& branch : analysis_.branches) {
-    out << "  sum_val += " << branch.return_expr.ToString() << ";\n";
+  for (size_t i = 0; i < terms_.size(); ++i) {
+    const BranchAnalysis& branch = analysis_.branches[i];
+    std::string value = branch.return_expr.ToString();
+    if (branch.uses_property_weight && plan_.need_h_sum) {
+      for (size_t at = value.find("h[e]"); at != std::string::npos; at = value.find("h[e]", at)) {
+        value.replace(at, 4, "h_SUM[curr]");
+      }
+    } else {
+      value += " * deg(curr)";
+    }
+    out << "  sum_val += " << terms_[i].share << " * " << value << ";\n";
   }
-  out << "  sum_val /= " << analysis_.branches.size() << ";  // h := h_SUM[curr]\n"
-      << "  return sum_val;\n}\n";
+  out << "  return sum_val;\n}\n";
   return out.str();
 }
 

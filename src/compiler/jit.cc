@@ -452,7 +452,14 @@ void KernelCache::ResetForTest() {
     std::lock_guard<std::mutex> lock(mutex_);
     drained.swap(kernels_);
   }
-  // Destroying the kernels joins any in-flight compile threads.
+  // A compile thread holds its own reference to its kernel, so dropping the
+  // map's references never reaches ~JitKernel's join: join here, so no
+  // compile publishes a .so or records a metric after the reset returns.
+  for (auto& [key, kernel] : drained) {
+    if (kernel->worker_.joinable()) {
+      kernel->worker_.join();
+    }
+  }
   drained.clear();
   ResetDiscoveryForTest();
   ResetHeaderDigestsForTest();

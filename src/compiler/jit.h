@@ -106,9 +106,9 @@ class KernelCache {
                                           const std::string& cache_dir = "",
                                           bool async = true);
 
-  // Drops every in-memory kernel (joining in-flight compiles) and forgets
+  // Joins every in-flight compile, drops every in-memory kernel and forgets
   // the memoized compiler discovery and header digests. On-disk .so files
-  // are left alone.
+  // are left alone. Must not run concurrently with GetOrCompile.
   void ResetForTest();
 
  private:

@@ -1,8 +1,6 @@
 #include "src/graph/graph_cache.h"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
 #include "src/obs/metrics.h"
 
@@ -54,32 +52,20 @@ int GraphCache::SlotOf(uint32_t bid) const {
   return -1;
 }
 
-const Graph& GraphCache::Acquire(uint32_t bid) {
+const Graph& GraphCache::Touch(uint32_t bid) {
   int s = SlotOf(bid);
   if (s >= 0) {
-    Slot& slot = slots_[s];
-    ++slot.pins;
+    Slot& slot = slots_[static_cast<size_t>(s)];
     slot.last_use = ++use_clock_;
     ++stats_.hits;
     CacheMetrics::Get().hits.Add(1);
     return slot.view;
   }
-  // Miss: pick the least-recently-used unpinned slot (empty slots have
+  // Miss: load into the least-recently-used slot (empty slots have
   // last_use 0, so they win first).
-  int victim = -1;
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].pins != 0) {
-      continue;
-    }
-    if (victim < 0 || slots_[i].last_use < slots_[static_cast<size_t>(victim)].last_use) {
-      victim = static_cast<int>(i);
-    }
-  }
-  if (victim < 0) {
-    throw std::runtime_error("GraphCache: all " + std::to_string(slots_.size()) +
-                             " slots pinned; cannot load block " + std::to_string(bid));
-  }
-  Slot& slot = slots_[static_cast<size_t>(victim)];
+  Slot& slot = *std::min_element(slots_.begin(), slots_.end(), [](const Slot& a, const Slot& b) {
+    return a.last_use < b.last_use;
+  });
   if (slot.bid != Slot::kEmpty) {
     ++stats_.evictions;
     CacheMetrics::Get().evictions.Add(1);
@@ -90,7 +76,6 @@ const Graph& GraphCache::Acquire(uint32_t bid) {
   store_->ReadBlock(bid, slot.data);
   slot.view = store_->MakeBlockView(bid, slot.data);
   slot.bid = bid;
-  slot.pins = 1;
   slot.last_use = ++use_clock_;
   ++stats_.loads;
   uint64_t payload_bytes = store_->BlockPayloadBytes(bid);
@@ -99,14 +84,6 @@ const Graph& GraphCache::Acquire(uint32_t bid) {
   metrics.loads.Add(1);
   metrics.bytes_read.Add(payload_bytes);
   return slot.view;
-}
-
-void GraphCache::Release(uint32_t bid) {
-  int s = SlotOf(bid);
-  if (s < 0 || slots_[static_cast<size_t>(s)].pins == 0) {
-    throw std::logic_error("GraphCache: Release of an unpinned block");
-  }
-  --slots_[static_cast<size_t>(s)].pins;
 }
 
 }  // namespace flexi

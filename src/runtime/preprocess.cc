@@ -24,22 +24,23 @@ PreprocessedData RunPreprocess(const Graph& graph, const PreprocessPlan& plan,
   unsigned workers = host_threads == 0 ? DefaultWorkerThreads() : host_threads;
   ParallelForRanges(workers, n, [&](unsigned, size_t begin, size_t end) {
     for (NodeId v = static_cast<NodeId>(begin); v < static_cast<NodeId>(end); ++v) {
-      uint32_t degree = graph.Degree(v);
-      float max_h = 0.0f;
-      float sum_h = 0.0f;
-      for (uint32_t i = 0; i < degree; ++i) {
-        float h = graph.PropertyWeight(graph.EdgesBegin(v) + i);
-        max_h = std::max(max_h, h);
-        sum_h += h;
-      }
-      if (degree == 0) {
-        max_h = 1.0f;
-      }
-      data.h_max[v] = max_h;
-      data.h_sum[v] = sum_h;
+      ReduceRow(graph, v, data);
     }
   });
   return data;
+}
+
+void ReduceRow(const Graph& graph, NodeId v, PreprocessedData& data) {
+  uint32_t degree = graph.Degree(v);
+  float max_h = 0.0f;
+  float sum_h = 0.0f;
+  for (uint32_t i = 0; i < degree; ++i) {
+    float h = graph.PropertyWeight(graph.EdgesBegin(v) + i);
+    max_h = std::max(max_h, h);
+    sum_h += h;
+  }
+  data.h_max[v] = degree == 0 ? 1.0f : max_h;
+  data.h_sum[v] = sum_h;
 }
 
 }  // namespace flexi

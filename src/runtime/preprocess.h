@@ -19,6 +19,12 @@ namespace flexi {
 PreprocessedData RunPreprocess(const Graph& graph, const PreprocessPlan& plan,
                                DeviceContext& device, unsigned host_threads = 0);
 
+// Node v's reductions, read from `graph` (the whole graph, or a block view
+// holding v's row), into data.h_max[v] and data.h_sum[v]. RunPreprocess and
+// the out-of-core PreprocessOutOfCore (out_of_core.h) both reduce every row
+// through it, so their arrays are bit-identical.
+void ReduceRow(const Graph& graph, NodeId v, PreprocessedData& data);
+
 }  // namespace flexi
 
 #endif  // FLEXIWALKER_SRC_RUNTIME_PREPROCESS_H_

@@ -102,7 +102,6 @@ SchedulerOptions FlexiSchedulerOptions(const FlexiWalkerOptions& options,
   SchedulerOptions scheduler;
   scheduler.profile = options.device;
   scheduler.num_threads = options.host_threads;
-  scheduler.dispense = options.dispense;
   scheduler.wavefront = options.wavefront;
   scheduler.preprocessed = prep.preprocessed.empty() ? nullptr : &prep.preprocessed;
   scheduler.int8_weights = prep.int8_store.empty() ? nullptr : &prep.int8_store;

@@ -1,7 +1,8 @@
 // The FlexiWalker engine: compile-time specialization (Flexi-Compiler) +
 // runtime per-step sampler selection (Flexi-Runtime) + the optimized eRJS /
 // eRVS kernels (Flexi-Kernel), executed as the concurrent mixed warp kernel
-// of §5.2 with dynamic query scheduling (§5.3).
+// of §5.2 with dynamic query scheduling (§5.3): the scheduler's workers
+// claim query ids in adaptive chunks with stealing (query_queue.h).
 //
 // This header is the execution core every FlexiWalker tier shares. Each
 // tier — the one-shot engine below, the serving WalkService
@@ -53,10 +54,6 @@ struct FlexiWalkerOptions {
   // Host worker threads for the WalkScheduler (0 = process default). Walk
   // paths are bit-identical for any value — see scheduler.h.
   unsigned host_threads = 0;
-  // Query-id dispensation (query_queue.h): chunked claiming with bounded
-  // stealing by default. Like host_threads, any setting leaves walk paths
-  // bit-identical; the CLI's --chunk/--steal flags land here.
-  DispenseOptions dispense;
   // Wavefront width for the scheduler's batched inner loop (scheduler.h):
   // in-flight walks each worker advances per pass. 0 = kDefaultWavefront,
   // 1 = walk-at-a-time. Any width leaves walk paths bit-identical; the
@@ -126,8 +123,8 @@ std::shared_ptr<jit::JitKernel> PrepareFlexiJitKernel(const WalkLogic& logic,
                                                       bool use_static_tables);
 
 // The scheduler configuration of a FlexiWalker run: the options' device,
-// thread count, dispensation and wavefront, plus the preparation's
-// read-only arrays (null when empty).
+// thread count and wavefront, plus the preparation's read-only arrays (null
+// when empty).
 SchedulerOptions FlexiSchedulerOptions(const FlexiWalkerOptions& options,
                                        const FlexiPreparation& prep);
 

@@ -1,9 +1,6 @@
 #include "src/walker/multi_device.h"
 
 #include <algorithm>
-#include <chrono>
-
-#include "src/walker/worker_pool.h"
 
 namespace flexi {
 namespace {
@@ -44,27 +41,12 @@ MultiDeviceResult RunMultiDevice(const std::function<std::unique_ptr<Engine>()>&
   auto parts = PartitionQueries(starts, num_devices, mapping);
   result.per_device.resize(num_devices);
 
-  // Real device concurrency on the shared persistent pool: each simulated
-  // device body is one pool job index, and the D bodies split the process
-  // worker budget between them — engines constructed inside see
-  // max(1, total / D) scheduler threads, so the host runs ~total walker
-  // tasks regardless of D instead of D full pools. Devices write disjoint
-  // result slots and derive per-device simulated time from their own merged
-  // counters, so the drain below only has to take the max — the makespan —
-  // across devices.
-  unsigned total_budget = DefaultWorkerThreads();
-  unsigned per_device_budget = std::max(1u, total_budget / std::max(1u, num_devices));
-  auto t0 = std::chrono::steady_clock::now();
-  WorkerPool::Global().Run(num_devices, [&](unsigned d) {
-    ScopedWorkerBudget budget(per_device_budget);
-    auto engine = make_engine();
-    result.per_device[d] = engine->Run(graph, logic, parts[d], seed + d);
-  });
-  auto t1 = std::chrono::steady_clock::now();
-
-  result.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  for (const WalkResult& run : result.per_device) {
-    result.makespan_sim_ms = std::max(result.makespan_sim_ms, run.sim_ms);
+  // Each device derives its simulated time from its own merged counters,
+  // so running them in turn leaves every per-device result, and the
+  // makespan, what concurrent devices would report.
+  for (uint32_t d = 0; d < num_devices; ++d) {
+    result.per_device[d] = make_engine()->Run(graph, logic, parts[d], seed + d);
+    result.makespan_sim_ms = std::max(result.makespan_sim_ms, result.per_device[d].sim_ms);
   }
   return result;
 }

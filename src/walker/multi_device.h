@@ -18,8 +18,6 @@ struct MultiDeviceResult {
   std::vector<WalkResult> per_device;
   // Simulated makespan: the slowest device bounds the run.
   double makespan_sim_ms = 0.0;
-  // Host wall-clock for the whole concurrent run.
-  double wall_ms = 0.0;
   // Aggregate queries processed.
   size_t num_queries = 0;
 
@@ -33,18 +31,10 @@ std::vector<std::vector<NodeId>> PartitionQueries(std::span<const NodeId> starts
                                                   uint32_t num_devices, QueryMapping mapping);
 
 // Runs `make_engine()`-produced engines, one per device, each over its query
-// partition. Device bodies run concurrently on the persistent WorkerPool;
-// the makespan is computed from each device's merged counters at drain
-// time, and is what Fig. 15 aggregates. `make_engine` is invoked on the
-// device workers, so it must be safe to call concurrently.
-//
-// Worker budgeting: the D devices split DefaultWorkerThreads() between
-// them — each device body runs under a ScopedWorkerBudget of
-// max(1, total / D), so its engine's WalkScheduler fans out over its share
-// instead of demanding a full pool. The host therefore runs ~total walker
-// tasks however many devices are simulated, instead of the former
-// D * DefaultWorkerThreads() oversubscription; makespan_sim_ms
-// (counter-derived) is identical either way.
+// partition d at seed + d. The devices run one after another, each engine
+// on the whole worker pool; the simulated devices are concurrent only in
+// the makespan, the slowest device's counter-derived sim_ms, which is what
+// Fig. 15 aggregates.
 MultiDeviceResult RunMultiDevice(const std::function<std::unique_ptr<Engine>()>& make_engine,
                                  const Graph& graph, const WalkLogic& logic,
                                  std::span<const NodeId> starts, uint32_t num_devices,

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/compiler/analyzer.h"
+#include "src/runtime/preprocess.h"
 
 namespace flexi {
 
@@ -46,26 +47,11 @@ PreprocessedData PreprocessOutOfCore(const BlockStore& store, GraphCache& cache,
   device.mem().StoreCoalesced(1, static_cast<size_t>(n) * 2 * sizeof(float));
   device.mem().CountAlu(store.num_edges() * 2);
   for (size_t b = 0; b < store.num_blocks(); ++b) {
-    const Graph& view = cache.Acquire(static_cast<uint32_t>(b));
+    const Graph& view = cache.Touch(static_cast<uint32_t>(b));
     const BlockMeta& meta = store.block(b);
     for (NodeId v = meta.first_node; v < meta.first_node + meta.node_count; ++v) {
-      uint32_t degree = view.Degree(v);
-      float max_h = 0.0f;
-      float sum_h = 0.0f;
-      // Same per-row float evaluation order as RunPreprocess, so the arrays
-      // are bit-identical to the in-memory preprocess.
-      for (uint32_t i = 0; i < degree; ++i) {
-        float h = view.PropertyWeight(view.EdgesBegin(v) + i);
-        max_h = std::max(max_h, h);
-        sum_h += h;
-      }
-      if (degree == 0) {
-        max_h = 1.0f;
-      }
-      data.h_max[v] = max_h;
-      data.h_sum[v] = sum_h;
+      ReduceRow(view, v, data);
     }
-    cache.Release(static_cast<uint32_t>(b));
   }
   return data;
 }
@@ -153,18 +139,17 @@ WalkResult RunFlexiWalkerOutOfCore(const BlockStore& store, const WalkLogic& log
     }
   }
 
-  // The resident views, and the next round's walks. Touching a block —
-  // acquire + release — marks it used for the cache's LRU order, loading it
-  // when absent into the slot (so the view) of the block it evicts; a block
-  // new to the driver hands its parked walks to the next round. The driver
-  // is the cache's only caller and calls it only between rounds, so no view
-  // a round steps against is evicted under it.
+  // The resident views, and the next round's walks. Touching a block marks
+  // it used for the cache's LRU order, loading it when absent into the slot
+  // (so the view) of the block it evicts; a block new to the driver hands
+  // its parked walks to the next round. After the preprocess pass the
+  // driver is the cache's only caller, and it calls it only between rounds,
+  // so no view a round steps against is evicted under it.
   std::vector<const Graph*> views(num_blocks, nullptr);
   std::vector<std::atomic<uint8_t>> used(num_blocks);
   std::vector<ParkedWalk> walks;
   auto touch = [&](uint32_t bid) {
-    const Graph* view = &cache.Acquire(bid);
-    cache.Release(bid);
+    const Graph* view = &cache.Touch(bid);
     if (views[bid] == nullptr) {
       std::replace(views.begin(), views.end(), view, static_cast<const Graph*>(nullptr));
       views[bid] = view;

@@ -26,7 +26,7 @@
 // walk records its stream offset and the stream is reconstructed there on
 // resume — seek-then-read is bit-identical to sequential consumption
 // (philox.h) — so park/resume interleaving, cache size, block size, thread
-// count, wavefront width, and dispensation mode can never change a path:
+// count, wavefront width, and steal schedule can never change a path:
 // out-of-core paths are bit-identical to the in-memory engine's
 // (outofcore_test.cc, OutOfCore.MatchesInMemory*).
 #ifndef FLEXIWALKER_SRC_WALKER_OUT_OF_CORE_H_
@@ -73,10 +73,9 @@ class BlockScheduler {
 };
 
 // Streamed h_MAX / h_SUM preprocessing: one pass over the blocks through
-// `cache`, computing each node's reductions with the same per-row
-// arithmetic as RunPreprocess — the arrays are bit-identical to the
-// in-memory preprocess, which the out-of-core parity guarantee depends on
-// (bound estimators read them).
+// `cache`, reducing each node's row with RunPreprocess's ReduceRow — the
+// arrays are bit-identical to the in-memory preprocess, which the
+// out-of-core parity guarantee depends on (bound estimators read them).
 PreprocessedData PreprocessOutOfCore(const BlockStore& store, GraphCache& cache,
                                      const PreprocessPlan& plan, DeviceContext& device);
 
@@ -92,9 +91,10 @@ PreprocessedData PreprocessOutOfCore(const BlockStore& store, GraphCache& cache,
 //     kHostEdgeCostRatio, is the in-memory engine's default too.
 //   * use_int8_weights and cache_static_tables are rejected: both build
 //     O(edges) resident structures, defeating the memory bound.
-// The options' threads, wavefront (0 = auto by the *full* graph's payload)
-// and dispensation shape execution only. With the same seed, starts and
-// options, paths are bit-identical to FlexiWalkerEngine::Run on the
+// The options' threads and wavefront (0 = auto by the *full* graph's
+// payload) shape execution only; each round's walks are claimed as every
+// scheduler run claims queries (query_queue.h). With the same seed, starts
+// and options, paths are bit-identical to FlexiWalkerEngine::Run on the
 // unpartitioned graph.
 WalkResult RunFlexiWalkerOutOfCore(const BlockStore& store, const WalkLogic& logic,
                                    const FlexiWalkerOptions& options, uint32_t cache_blocks,

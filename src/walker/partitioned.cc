@@ -47,10 +47,10 @@ PartitionedRunResult RunPartitioned(const Graph& graph, const WalkLogic& logic,
   const double transfer = static_cast<double>(kQueryStateBytes) / link.bytes_per_cost_unit +
                           link.per_message_cost;
 
-  QueryQueue queue(starts);
+  QueryQueue queue(starts, workers, DispenseMode::kChunkedSteal);
   auto worker_body = [&](unsigned w) {
     WorkerState& state = states[w];
-    while (std::optional<QueryQueue::Query> next = queue.Next()) {
+    while (std::optional<QueryQueue::Query> next = queue.Next(w)) {
       QueryState q;
       q.query_id = next->id;
       q.start = next->start;

@@ -39,10 +39,11 @@ struct PartitionedRunResult {
 // Runs walks over a hash-partitioned graph on `num_devices` simulated
 // devices with eRVS sampling (the §7.1-safe kernel). Each device charges
 // only the steps it owns; migrations charge the interconnect and count
-// toward the destination device's queue. Queries are drained from a dynamic
-// queue by `host_threads` scheduler workers (0 = process default); each
-// worker keeps private per-device accounting, merged deterministically at
-// drain time, so results are identical for any worker count.
+// toward the destination device's queue. `host_threads` workers (0 = process
+// default) claim queries as every scheduler run does, in adaptive chunks
+// with stealing (query_queue.h); each worker keeps private per-device
+// accounting, merged deterministically at drain time, so results are
+// identical for any worker count.
 PartitionedRunResult RunPartitioned(const Graph& graph, const WalkLogic& logic,
                                     std::span<const NodeId> starts, uint32_t num_devices,
                                     const InterconnectProfile& link, uint64_t seed,

@@ -279,14 +279,6 @@ void WalkWorker(Residency& residency, QueryQueue& queue, unsigned w, const WalkL
 WalkScheduler::WalkScheduler(SchedulerOptions options) : options_(std::move(options)) {
   unsigned requested =
       options_.num_threads == 0 ? DefaultWorkerThreads() : options_.num_threads;
-  // A thread-local budget (RunMultiDevice's per-device share) caps even
-  // explicit requests: the budget owner decided how much of the machine this
-  // context may use. Captured here, at construction time, because Run may
-  // later execute on pool threads that carry no budget of their own.
-  unsigned budget = ScopedWorkerBudget::Current();
-  if (budget != 0) {
-    requested = std::min(requested, budget);
-  }
   num_threads_ = std::clamp(requested, 1u, kMaxHostWorkers);
   // 0 stays 0 — the auto width is resolved per Run against the graph's
   // footprint (WidthFor); explicit widths are clamped here.
@@ -329,7 +321,7 @@ WalkResult WalkScheduler::RunWithWorkersInto(const Graph& graph, const WalkLogic
   unsigned workers = static_cast<unsigned>(
       std::clamp<size_t>(starts.size(), 1, num_threads_));
 
-  QueryQueue queue(starts, workers, options_.dispense);
+  QueryQueue queue(starts, workers, DispenseMode::kChunkedSteal);
   std::vector<DeviceContext> devices(workers, DeviceContext(options_.profile));
   // Worker kernels live until the run returns: the fold after the join
   // reads each one's selection tally out of its keepalive.
@@ -377,7 +369,8 @@ void WalkScheduler::RunOutOfCoreRound(const WalkLogic& logic, uint64_t seed,
                                       const OutOfCoreRound& round, PathArenaView out) const {
   const unsigned workers = static_cast<unsigned>(
       std::clamp<size_t>(round.walks.size(), 1, num_threads_));
-  QueryQueue queue(static_cast<uint64_t>(round.walks.size()), workers, options_.dispense);
+  QueryQueue queue(static_cast<uint64_t>(round.walks.size()), workers,
+                   DispenseMode::kChunkedSteal);
   const uint32_t width = WidthFor(wavefront_, round.graph_bytes);
 
   RunOnWorkers(workers, [&](unsigned w) {

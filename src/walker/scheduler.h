@@ -3,10 +3,13 @@
 // The paper's dynamic query scheduling (§5.3) pairs a global atomic ticket
 // counter with a pool of concurrent processing units. This subsystem is that
 // design realized on the host: workers from the persistent process-wide
-// WorkerPool (worker_pool.h) pull queries from a QueryQueue, each worker
-// owns a private DeviceContext so kernel accounting is contention-free, and
-// the per-worker CostCounters are merged deterministically (worker-index
-// order) at drain time. A Run spawns no threads — it borrows parked pool
+// WorkerPool (worker_pool.h) claim adaptive chunks of query ids from a
+// QueryQueue, stealing from each other's cursors once the counter drains
+// (query_queue.h) — the one way every run, in memory or out of core, hands
+// out work. Each worker owns a private DeviceContext so kernel accounting
+// is contention-free, and the per-worker CostCounters are merged
+// deterministically (worker-index order) at drain time. A Run spawns no
+// threads — it borrows parked pool
 // workers and the calling thread — so repeated small batches (the serving
 // stack's batch runners) cost only the walks themselves.
 //
@@ -168,12 +171,6 @@ struct SchedulerOptions {
   // Philox subsequence — (seed, query_id_offset + local id) — is unique
   // across every batch the service ever runs. Path rows stay batch-local.
   uint64_t query_id_offset = 0;
-  // How workers draw query ids from the QueryQueue (query_queue.h): chunked
-  // claiming with bounded stealing by default, per-query ticketing as the
-  // contention baseline bench_scheduler_scaling measures against. Paths are
-  // bit-identical across modes and chunk sizes — dispensation moves ids
-  // between workers, never randomness.
-  DispenseOptions dispense;
   // In-flight walks each worker advances in lockstep passes. 0 = auto:
   // kDefaultWavefront when the graph outgrows kWavefrontAutoBytes,
   // walk-at-a-time otherwise. Explicit widths (1 = walk-at-a-time, no
@@ -201,6 +198,8 @@ struct SchedulerOptions {
 
 class WalkScheduler {
  public:
+  // Resolves num_threads once, here: a Run's worker count depends only on
+  // the options and the batch size, never on the calling thread.
   explicit WalkScheduler(SchedulerOptions options = {});
 
   unsigned num_threads() const { return num_threads_; }

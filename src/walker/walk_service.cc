@@ -13,9 +13,8 @@ WalkService::WalkService(const Graph& graph, const WalkLogic& logic, Options opt
       options_(std::move(options)),
       make_step_(std::move(make_step)),
       kernel_state_(std::move(kernel_state)) {
-  // Resolve the worker count once, on the constructing thread, so a
-  // ScopedWorkerBudget active here sticks for the service's lifetime and a
-  // batch runner thread (which carries no budget) can't widen it later.
+  // Resolve the worker count once, so every batch runs at the width the
+  // service was built with, whatever SetDefaultWorkerThreads says later.
   num_threads_ = WalkScheduler(options_.scheduler).num_threads();
   options_.scheduler.num_threads = num_threads_;
   // Depth sizes the coalescer's runner threads, so it shares the

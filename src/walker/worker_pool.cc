@@ -33,8 +33,6 @@ struct PoolMetrics {
 
 std::atomic<unsigned> g_default_threads{0};
 
-thread_local unsigned t_worker_budget = 0;
-
 unsigned HardwareThreads() {
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
@@ -45,27 +43,12 @@ unsigned HardwareThreads() {
 unsigned DefaultWorkerThreads() {
   unsigned configured = g_default_threads.load(std::memory_order_relaxed);
   unsigned value = configured == 0 ? HardwareThreads() : configured;
-  if (t_worker_budget != 0) {
-    value = std::min(value, t_worker_budget);
-  }
   return std::clamp(value, 1u, kMaxHostWorkers);
 }
 
 void SetDefaultWorkerThreads(unsigned threads) {
   g_default_threads.store(threads, std::memory_order_relaxed);
 }
-
-ScopedWorkerBudget::ScopedWorkerBudget(unsigned budget) : previous_(t_worker_budget) {
-  unsigned next = budget == 0 ? previous_ : budget;
-  if (previous_ != 0 && next != 0) {
-    next = std::min(next, previous_);  // nested scopes only tighten
-  }
-  t_worker_budget = next;
-}
-
-ScopedWorkerBudget::~ScopedWorkerBudget() { t_worker_budget = previous_; }
-
-unsigned ScopedWorkerBudget::Current() { return t_worker_budget; }
 
 // One submitted batch. `next_index` is guarded by the pool mutex (claims are
 // cheap relative to job bodies, so a mutex beats reasoning about atomics);
@@ -227,10 +210,6 @@ void ParallelForRanges(unsigned threads, size_t n,
     return;
   }
   unsigned workers = std::clamp(threads, 1u, kMaxHostWorkers);
-  unsigned budget = ScopedWorkerBudget::Current();
-  if (budget != 0) {
-    workers = std::min(workers, budget);
-  }
   workers = static_cast<unsigned>(std::min<size_t>(workers, n));
   size_t chunk = (n + workers - 1) / workers;
   RunOnWorkers(workers, [&body, n, chunk](unsigned w) {

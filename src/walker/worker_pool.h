@@ -1,6 +1,6 @@
 // Persistent worker pool: the process-wide thread substrate under every
 // parallel phase (scheduler walks, preprocessing, profiling, quantization,
-// multi-device fan-out). Workers are spawned once and park on a condition
+// the partitioned runner). Workers are spawned once and park on a condition
 // variable between jobs, so repeated small batches — the serving workload —
 // pay no thread-spawn cost per Run. See docs/ARCHITECTURE.md for the full
 // execution-flow picture.
@@ -9,11 +9,13 @@
 // standard library, so lower layers (src/graph, src/sampling, src/runtime)
 // can shard work over the pool without pulling in walker types.
 //
-// Nesting: a job body may itself call WorkerPool::Run (e.g. a multi-device
-// body whose engine fans out a scheduler job). The submitting thread always
-// participates in its own job — it claims and executes unclaimed indices
-// instead of just blocking — so a nested submission makes progress even when
-// every pool thread is busy; nesting cannot deadlock.
+// Nesting and concurrent submitters: a job body may itself call
+// WorkerPool::Run, and several threads may submit at once (the serving
+// stack's batch runners each submit their batch's scheduler job). The
+// submitting thread always participates in its own job — it claims and
+// executes unclaimed indices instead of just blocking — so a submission
+// makes progress even when every pool thread is busy with another job;
+// nesting cannot deadlock.
 #ifndef FLEXIWALKER_SRC_WALKER_WORKER_POOL_H_
 #define FLEXIWALKER_SRC_WALKER_WORKER_POOL_H_
 
@@ -28,8 +30,7 @@
 namespace flexi {
 
 // Process-wide default worker-thread count: hardware concurrency unless
-// overridden (the CLI's --threads flag and the benches set it explicitly),
-// further capped by the calling thread's ScopedWorkerBudget, if any.
+// overridden (the CLI's --threads flag and the benches set it explicitly).
 unsigned DefaultWorkerThreads();
 void SetDefaultWorkerThreads(unsigned threads);  // 0 restores the hardware default
 
@@ -38,26 +39,6 @@ void SetDefaultWorkerThreads(unsigned threads);  // 0 restores the hardware defa
 // request (e.g. a negative CLI value cast to unsigned) must not turn into
 // millions of std::thread spawns.
 inline constexpr unsigned kMaxHostWorkers = 256;
-
-// Thread-local cap on worker parallelism. RunMultiDevice splits
-// DefaultWorkerThreads() between its device bodies by installing one of
-// these on each device thread: any WalkScheduler or DefaultWorkerThreads()
-// resolution on that thread then sees the device's share instead of the full
-// machine, so D devices share one budgeted pool instead of demanding D full
-// ones. Scopes nest by taking the minimum; 0 means "no extra cap".
-class ScopedWorkerBudget {
- public:
-  explicit ScopedWorkerBudget(unsigned budget);
-  ~ScopedWorkerBudget();
-  ScopedWorkerBudget(const ScopedWorkerBudget&) = delete;
-  ScopedWorkerBudget& operator=(const ScopedWorkerBudget&) = delete;
-
-  // The calling thread's active budget (0 = unlimited).
-  static unsigned Current();
-
- private:
-  unsigned previous_;
-};
 
 // A pool of persistent worker threads executing indexed jobs.
 //
@@ -114,20 +95,17 @@ class WorkerPool {
 
 // Runs body(worker) for worker in [0, workers) on the global WorkerPool,
 // inline when workers == 1; returns when every body has. The single pool
-// primitive behind the WalkScheduler, ParallelForRanges, the partitioned
-// runner, and the multi-device fan-out. `workers` is clamped to
-// [1, kMaxHostWorkers].
+// primitive behind the WalkScheduler, ParallelForRanges and the partitioned
+// runner. `workers` is clamped to [1, kMaxHostWorkers].
 void RunOnWorkers(unsigned workers, const std::function<void(unsigned)>& body);
 
 // Shards [0, n) into contiguous ranges, one per worker, and runs `body` on
 // the global pool. For preprocessing/profiling/quantization kernels whose
 // work is indexed by node or edge rather than by query; `body(begin, end)`
 // must only write state owned by its range. Runs inline when one worker
-// suffices. Like WalkScheduler, it honors the calling thread's
-// ScopedWorkerBudget even over an explicit `threads` request — the budget
-// owner decided how much of the machine this context may use. Range
-// boundaries shift with the effective worker count, but every caller in the
-// repo computes range-local results merged in range order, so outputs don't.
+// suffices. Range boundaries shift with the worker count, but every caller
+// in the repo computes range-local results merged in range order, so
+// outputs don't.
 void ParallelForRanges(unsigned threads, size_t n,
                        const std::function<void(unsigned worker, size_t begin, size_t end)>& body);
 

@@ -55,6 +55,9 @@ expect 1 "" "${oneshot[@]}" --overflow bogus
 expect 1 "" "${serve[@]}" --queries 4
 expect 1 "" "${serve[@]}" --listen 0
 expect 1 "" --connect 1 --threads 4
+# Queries are claimed one way, so there is no dispensation flag to give.
+expect 1 "" "${oneshot[@]}" --chunk 64
+expect 1 "" "${oneshot[@]}" --steal on
 # A serving mode needs the flexiwalker engine; stdin batches parse strictly.
 expect 2 "" "${serve[@]}" --engine flowwalker
 expect 3 "0 1 x\n" "${serve[@]}"

@@ -109,6 +109,19 @@ TEST(Generator, EmitSourceShowsHelpers) {
 
   auto opaque = generator.Generate(OpaqueWalk().program());
   EXPECT_NE(opaque.EmitSource().find("unsupported"), std::string::npos);
+
+  // get_weight_sum as WeightSum computes it: each branch weighted by its
+  // share, h read as h_SUM[curr], terms without h scaled by the degree, and
+  // no averaging over the branch count.
+  std::string temporal = generator.Generate(TemporalWalk(8).program()).EmitSource();
+  EXPECT_NE(temporal.find("sum_val += 0.5 * h_SUM[curr];"), std::string::npos) << temporal;
+  EXPECT_NE(temporal.find("sum_val += 0.5 * 0 * deg(curr);"), std::string::npos) << temporal;
+  EXPECT_EQ(temporal.find("/="), std::string::npos) << temporal;
+
+  std::string metapath = generator.Generate(MetaPathWalk({0, 1}).program()).EmitSource();
+  EXPECT_NE(metapath.find("sum_val += 0.2 * h_SUM[curr];"), std::string::npos) << metapath;
+  EXPECT_NE(metapath.find("sum_val += 0.8 * 0 * deg(curr);"), std::string::npos) << metapath;
+  EXPECT_EQ(metapath.find("/="), std::string::npos) << metapath;
 }
 
 // The soundness property behind eRJS (§3.3): for every workload, node,

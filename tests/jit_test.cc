@@ -4,7 +4,7 @@
 // compiled-vs-interpreted parity matrix — paths, selection tallies and
 // device-model charges must be
 // bit-identical across workloads, strategies, thread counts, wavefronts,
-// dispensation modes, the static-table fast path, and the out-of-core tier.
+// the static-table fast path, and the out-of-core tier.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -195,6 +195,32 @@ TEST_F(JitTest, CompileOnceThenInMemoryAndDiskHits) {
   // The compile-latency histogram saw exactly the one compile.
   EXPECT_EQ(obs::MetricsRegistry::Global().GetHistogram("jit_compile_ms").TakeSnapshot().count,
             1u);
+}
+
+TEST_F(JitTest, ResetForTestJoinsAnInFlightCompile) {
+  // A background compile holds its own reference to its kernel, so the
+  // reset must join it: once ResetForTest returns the .so is published, and
+  // the compile records nothing into the next test's registry.
+  std::string dir = FreshCacheDir("reset_joins");
+  Node2VecWalk walk(2.0, 0.5, 12);
+  std::string reason;
+  std::string source = jit::EmitStepKernelSource(walk.program(), {}, &reason);
+  ASSERT_FALSE(source.empty());
+
+  auto kernel = jit::KernelCache::Global().GetOrCompile(source, dir, /*async=*/true);
+  jit::KernelCache::Global().ResetForTest();
+  EXPECT_TRUE(kernel->done());
+  bool published = false;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    published = published || entry.path().extension() == ".so";
+  }
+  EXPECT_TRUE(published) << "no .so in " << dir << " when the reset returned";
+
+  obs::MetricsRegistry::Global().ResetAllForTest();
+  ASSERT_TRUE(kernel->WaitReady()) << kernel->fallback_reason() << ": " << kernel->detail();
+  EXPECT_EQ(obs::MetricsRegistry::Global().GetHistogram("jit_compile_ms").TakeSnapshot().count,
+            0u);
+  EXPECT_EQ(CounterValue("jit_compiles_total"), 0u);
 }
 
 TEST_F(JitTest, DifferentSourcesGetDifferentCacheEntries) {
@@ -495,19 +521,6 @@ TEST_F(JitTest, ParityAcrossThreadsAndWavefronts) {
       std::string tag = "tw_" + std::to_string(threads) + "_" + std::to_string(wavefront);
       ExpectEngineParity(graph, walk, options, tag.c_str());
     }
-  }
-}
-
-TEST_F(JitTest, ParityAcrossDispensationModes) {
-  Graph graph = TestGraph();
-  TemporalDecayWalk walk(0.1, 12);
-  for (DispenseMode mode :
-       {DispenseMode::kPerQuery, DispenseMode::kChunked, DispenseMode::kChunkedSteal}) {
-    FlexiWalkerOptions options;
-    options.host_threads = 4;
-    options.dispense.mode = mode;
-    std::string tag = "disp_" + std::to_string(static_cast<int>(mode));
-    ExpectEngineParity(graph, walk, options, tag.c_str());
   }
 }
 

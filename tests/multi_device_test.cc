@@ -97,6 +97,34 @@ TEST_F(MultiDeviceRunTest, AllQueriesProcessedAcrossDevices) {
   EXPECT_EQ(result.num_queries, starts_.size());
 }
 
+TEST_F(MultiDeviceRunTest, EachDeviceMatchesAStandaloneRunOfItsPartition) {
+  // Device d is one engine Run over partition d at seed + d, on the whole
+  // worker pool; the makespan is the slowest device's sim_ms.
+  Node2VecWalk walk(2.0, 0.5, 6);
+  constexpr uint32_t kDevices = 3;
+  constexpr uint64_t kSeed = 11;
+  auto result =
+      RunMultiDevice(MakeEngine, graph_, walk, starts_, kDevices, QueryMapping::kHash, kSeed);
+  auto parts = PartitionQueries(starts_, kDevices, QueryMapping::kHash);
+  ASSERT_EQ(result.per_device.size(), kDevices);
+  double makespan = 0.0;
+  for (uint32_t d = 0; d < kDevices; ++d) {
+    WalkResult alone = MakeEngine()->Run(graph_, walk, parts[d], kSeed + d);
+    const WalkResult& device = result.per_device[d];
+    EXPECT_EQ(device.paths, alone.paths) << "device " << d;
+    EXPECT_EQ(device.cost.coalesced_transactions, alone.cost.coalesced_transactions) << d;
+    EXPECT_EQ(device.cost.random_transactions, alone.cost.random_transactions) << d;
+    EXPECT_EQ(device.cost.bytes_read, alone.cost.bytes_read) << d;
+    EXPECT_EQ(device.cost.bytes_written, alone.cost.bytes_written) << d;
+    EXPECT_EQ(device.cost.rng_draws, alone.cost.rng_draws) << d;
+    EXPECT_EQ(device.cost.alu_ops, alone.cost.alu_ops) << d;
+    EXPECT_EQ(device.cost.warp_collectives, alone.cost.warp_collectives) << d;
+    EXPECT_EQ(device.sim_ms, alone.sim_ms) << d;
+    makespan = std::max(makespan, alone.sim_ms);
+  }
+  EXPECT_EQ(result.makespan_sim_ms, makespan);
+}
+
 TEST_F(MultiDeviceRunTest, HashBalancesAtLeastAsWellAsRangeOnSkewedWork) {
   // Sort the starts by degree so range mapping puts all heavy hubs on one
   // device; hash mapping spreads them.

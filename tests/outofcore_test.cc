@@ -259,7 +259,7 @@ TEST(BlockStore, RejectsCorruptFiles) {
 
 // ---------------------------------------------------------- graph cache --
 
-TEST(GraphCache, PinsEvictsAndCounts) {
+TEST(GraphCache, EvictsLeastRecentlyUsedAndCounts) {
   Graph g = TestGraph(400, 5.0, 21);
   const std::string path = BlockFilePath("cache");
   size_t blocks = PartitionToBlockFile(g, path, kMinBlockBytes);
@@ -267,25 +267,34 @@ TEST(GraphCache, PinsEvictsAndCounts) {
   BlockStore store = BlockStore::Open(path);
   GraphCache cache(&store, 2);
 
-  const Graph& b0 = cache.Acquire(0);
+  const Graph& b0 = cache.Touch(0);
   EXPECT_EQ(b0.num_nodes(), g.num_nodes());  // views share the global node space
   EXPECT_TRUE(cache.IsResident(0));
-  cache.Acquire(1);
-  // Both slots pinned: a third block has nowhere to go.
-  EXPECT_THROW(cache.Acquire(2), std::runtime_error);
-  cache.Release(0);
-  cache.Acquire(2);  // evicts block 0 (the only unpinned slot)
+  cache.Touch(1);
+  EXPECT_EQ(cache.stats().loads, 2u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  // Touching a resident block is a hit, not a load, and makes it the most
+  // recently used: the next miss evicts block 1, not block 0.
+  cache.Touch(0);
+  EXPECT_EQ(cache.stats().loads, 2u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  cache.Touch(2);
+  EXPECT_TRUE(cache.IsResident(0));
+  EXPECT_FALSE(cache.IsResident(1));
+  EXPECT_TRUE(cache.IsResident(2));
+  // Block 0 is now the least recently used.
+  cache.Touch(3);
   EXPECT_FALSE(cache.IsResident(0));
   EXPECT_TRUE(cache.IsResident(2));
-  // Re-acquiring a resident block is a hit, not a load.
-  uint64_t loads_before = cache.stats().loads;
-  cache.Acquire(2);
-  EXPECT_EQ(cache.stats().loads, loads_before);
-  EXPECT_GT(cache.stats().hits, 0u);
-  EXPECT_GT(cache.stats().evictions, 0u);
-  EXPECT_GT(cache.stats().bytes_read, 0u);
-  // Releasing an unpinned block is a caller bug.
-  EXPECT_THROW(cache.Release(0), std::logic_error);
+  EXPECT_TRUE(cache.IsResident(3));
+  EXPECT_EQ(cache.stats().loads, 4u);
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  uint64_t payload = 0;
+  for (uint32_t b = 0; b < 4; ++b) {
+    payload += store.BlockPayloadBytes(b);
+  }
+  EXPECT_EQ(cache.stats().bytes_read, payload);
   std::remove(path.c_str());
 }
 
@@ -308,8 +317,7 @@ TEST(BlockScheduler, PicksByPendingPerByteAmongNonResidentBlocks) {
   // Ties go to the lowest id.
   EXPECT_EQ(scheduler.PickNext(std::vector<uint64_t>{0, 5, 5, 0}), 1u);
   // A resident block is never picked, however much work it holds.
-  cache.Acquire(1);
-  cache.Release(1);
+  cache.Touch(1);
   EXPECT_EQ(scheduler.PickNext(std::vector<uint64_t>{0, 1000, 1, 0}), 2u);
   EXPECT_EQ(scheduler.PickNext(std::vector<uint64_t>{0, 1000, 0, 0}), std::nullopt);
   std::remove(path.c_str());
@@ -459,34 +467,6 @@ TEST(OutOfCore, ResidentOnlyOptionsAreRejected) {
   cached.cache_static_tables = true;  // O(edges) resident alias tables
   EXPECT_THROW(RunFlexiWalkerOutOfCore(store, walk, cached, 2, starts, 1),
                std::invalid_argument);
-  std::remove(path.c_str());
-}
-
-TEST(OutOfCore, DispenseModesLeavePathsIdentical) {
-  // Both execution tiers share the QueryQueue dispensation subsystem; the
-  // out-of-core driver dispenses parked-walk buffers through it, and no
-  // mode/chunk combination may move a path.
-  Graph g = TestGraph(300, 5.0, 41);
-  const std::string path = BlockFilePath("dispense");
-  PartitionToBlockFile(g, path, 2048);
-  BlockStore store = BlockStore::Open(path);
-  std::vector<NodeId> starts = AllStarts(g);
-  DeepWalk walk(10);
-  FlexiWalkerOptions options;
-  options.edge_cost_ratio = 4.0;
-  options.host_threads = 4;
-
-  WalkResult reference = RunFlexiWalkerOutOfCore(store, walk, options, 2, starts, 5);
-  for (DispenseMode mode : {DispenseMode::kPerQuery, DispenseMode::kChunked,
-                            DispenseMode::kChunkedSteal}) {
-    for (uint32_t chunk : {0u, 3u}) {
-      FlexiWalkerOptions variant = options;
-      variant.dispense = {mode, chunk};
-      WalkResult ooc = RunFlexiWalkerOutOfCore(store, walk, variant, 2, starts, 5);
-      EXPECT_EQ(ooc.paths, reference.paths)
-          << "mode=" << static_cast<int>(mode) << " chunk=" << chunk;
-    }
-  }
   std::remove(path.c_str());
 }
 

@@ -1,8 +1,8 @@
 // Tests for the WalkScheduler: seed-stable parallelism (paths bit-identical
-// for any worker count, dispensation mode, chunk size, and steal schedule),
-// deterministic counter merging, exactly-once query dispensation under
-// contention — including chunked claiming and range stealing — and the
-// dispensed() progress clamp.
+// for any worker count, wavefront width and steal schedule), deterministic
+// counter merging, exactly-once query dispensation under contention — per
+// query and through adaptive chunks with range stealing — the per-query
+// fallback of a 2^31-id queue, and the dispensed() progress clamp.
 #include "src/walker/scheduler.h"
 
 #include <gtest/gtest.h>
@@ -90,46 +90,14 @@ TEST(WalkScheduler, EveryQueryRunsExactlyOnceUnderContention) {
   }
 }
 
-TEST(WalkScheduler, PathsBitIdenticalAcrossDispenseMatrix) {
-  // The tentpole determinism contract: every query's Philox stream is keyed
-  // by its global id, so chunk size, steal schedule, dispensation mode, and
-  // thread count may only move ids between workers — never change a path.
-  Graph graph = TestGraph();
-  Node2VecWalk walk(2.0, 0.5, 16);
-  auto starts = AllNodesAsStarts(graph);
-
-  SchedulerOptions reference_options;
-  reference_options.num_threads = 1;
-  reference_options.dispense = {DispenseMode::kPerQuery, 0};
-  WalkResult reference =
-      WalkScheduler(reference_options).Run(graph, walk, starts, /*seed=*/1234, ItsStep());
-
-  for (DispenseMode mode :
-       {DispenseMode::kPerQuery, DispenseMode::kChunked, DispenseMode::kChunkedSteal}) {
-    for (uint32_t chunk : {uint32_t{0}, uint32_t{1}, uint32_t{3}, uint32_t{64},
-                           kMaxDispenseChunk}) {
-      for (unsigned threads : {1u, 2u, 8u}) {
-        SchedulerOptions options;
-        options.num_threads = threads;
-        options.dispense = {mode, chunk};
-        WalkResult result =
-            WalkScheduler(options).Run(graph, walk, starts, /*seed=*/1234, ItsStep());
-        EXPECT_EQ(result.paths, reference.paths)
-            << "mode=" << static_cast<int>(mode) << " chunk=" << chunk
-            << " threads=" << threads;
-      }
-    }
-  }
-}
-
 TEST(WalkScheduler, WavefrontPathParityMatrix) {
   // The wavefront tentpole's determinism contract: a query's draws come
   // from its own Philox stream, consumed strictly in per-query order, so
   // how many walks a worker keeps in flight — and how their steps
   // interleave — can never change a path. Swept over every sampler family
   // the hot loop serves (including the static-cache fast path's
-  // CachedAliasStep) x wavefront x threads x dispensation mode, each
-  // against a walk-at-a-time single-thread reference.
+  // CachedAliasStep) x wavefront x threads, each against a walk-at-a-time
+  // single-thread reference.
   Graph graph = TestGraph();
   std::vector<AliasTable> tables = BuildNodeAliasTables(graph, /*threads=*/1);
   const std::vector<AliasTable>* tables_ptr = &tables;
@@ -156,25 +124,19 @@ TEST(WalkScheduler, WavefrontPathParityMatrix) {
     SchedulerOptions reference_options;
     reference_options.num_threads = 1;
     reference_options.wavefront = 1;
-    reference_options.dispense = {DispenseMode::kPerQuery, 0};
     WalkResult reference =
         WalkScheduler(reference_options).Run(graph, walk, starts, /*seed=*/77, kernel.step);
 
     for (uint32_t wavefront : {1u, 4u, 16u}) {
       for (unsigned threads : {1u, 2u, 8u}) {
-        for (DispenseMode mode :
-             {DispenseMode::kPerQuery, DispenseMode::kChunked, DispenseMode::kChunkedSteal}) {
-          SchedulerOptions options;
-          options.num_threads = threads;
-          options.wavefront = wavefront;
-          options.dispense = {mode, 0};
-          WalkResult result =
-              WalkScheduler(options).Run(graph, walk, starts, /*seed=*/77, kernel.step);
-          EXPECT_EQ(result.paths, reference.paths)
-              << kernel.name << " wavefront=" << wavefront << " threads=" << threads
-              << " mode=" << static_cast<int>(mode);
-          EXPECT_EQ(result.cost.rng_draws, reference.cost.rng_draws) << kernel.name;
-        }
+        SchedulerOptions options;
+        options.num_threads = threads;
+        options.wavefront = wavefront;
+        WalkResult result =
+            WalkScheduler(options).Run(graph, walk, starts, /*seed=*/77, kernel.step);
+        EXPECT_EQ(result.paths, reference.paths)
+            << kernel.name << " wavefront=" << wavefront << " threads=" << threads;
+        EXPECT_EQ(result.cost.rng_draws, reference.cost.rng_draws) << kernel.name;
       }
     }
   }
@@ -218,60 +180,59 @@ TEST(QueryQueueChunked, ExactlyOnceAcrossModesUnderContention) {
   // range, no duplicates from a racing refill.
   constexpr size_t kIds = 20000;
   std::vector<NodeId> starts(kIds, 1);
-  for (DispenseMode mode :
-       {DispenseMode::kPerQuery, DispenseMode::kChunked, DispenseMode::kChunkedSteal}) {
-    for (uint32_t chunk : {uint32_t{0}, uint32_t{7}}) {
-      QueryQueue queue(starts, /*workers=*/8, {mode, chunk});
-      std::vector<std::atomic<uint32_t>> claimed(kIds);
-      std::vector<std::thread> workers;
-      for (unsigned w = 0; w < 8; ++w) {
-        workers.emplace_back([&queue, &claimed, w] {
-          while (std::optional<QueryQueue::Query> next = queue.Next(w)) {
-            claimed[next->id].fetch_add(1, std::memory_order_relaxed);
-          }
-        });
-      }
-      for (auto& worker : workers) {
-        worker.join();
-      }
-      for (size_t id = 0; id < kIds; ++id) {
-        ASSERT_EQ(claimed[id].load(), 1u)
-            << "id " << id << " mode " << static_cast<int>(mode) << " chunk " << chunk;
-      }
-      EXPECT_EQ(queue.dispensed(), kIds);
+  for (DispenseMode mode : {DispenseMode::kPerQuery, DispenseMode::kChunkedSteal}) {
+    QueryQueue queue(starts, /*workers=*/8, mode);
+    std::vector<std::atomic<uint32_t>> claimed(kIds);
+    std::vector<std::thread> workers;
+    for (unsigned w = 0; w < 8; ++w) {
+      workers.emplace_back([&queue, &claimed, w] {
+        while (std::optional<QueryQueue::Query> next = queue.Next(w)) {
+          claimed[next->id].fetch_add(1, std::memory_order_relaxed);
+        }
+      });
     }
+    for (auto& worker : workers) {
+      worker.join();
+    }
+    for (size_t id = 0; id < kIds; ++id) {
+      ASSERT_EQ(claimed[id].load(), 1u) << "id " << id << " mode " << static_cast<int>(mode);
+    }
+    EXPECT_EQ(queue.dispensed(), kIds);
   }
 }
 
-TEST(QueryQueueChunked, StealUnderSkewedChunksRunsEveryIdExactlyOnce) {
-  // Deliberate skew: with chunk_size == kMaxDispenseChunk and exactly
-  // kMaxDispenseChunk ids, worker 0's first claim takes the entire queue.
-  // Worker 1 finds the global counter drained on arrival and can make
-  // progress only by stealing from worker 0's cursor; the queue must still
-  // dispense every id exactly once, and at least one steal must occur.
-  constexpr size_t kIds = kMaxDispenseChunk;
+TEST(QueryQueueChunked, DeterministicStealRunsEveryIdExactlyOnce) {
+  // Worker 0 claims its first adaptive chunk, 1024 / (2 * 8) = 64 ids, and
+  // pops one. Worker 1 then drains every other id through its own refills,
+  // so the global counter is exhausted while worker 0 still holds [1, 64).
+  // Worker 1's next pull can make progress only by stealing the back half
+  // of that range — no thread timing involved. Afterwards both cursors
+  // drain concurrently and every id must land exactly once.
+  constexpr size_t kIds = 1024;
   std::vector<NodeId> starts(kIds, 1);
-  QueryQueue queue(starts, /*workers=*/2, {DispenseMode::kChunkedSteal, kMaxDispenseChunk});
+  QueryQueue queue(starts, /*workers=*/2, DispenseMode::kChunkedSteal);
+  std::vector<std::atomic<uint32_t>> claimed(kIds);
 
-  // Worker 0 claims the whole range up front, before worker 1 arrives.
   std::optional<QueryQueue::Query> first = queue.Next(0);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->id, 0u);
-  EXPECT_EQ(queue.dispensed(), kIds);  // all ids already claimed into cursors
+  claimed[first->id].fetch_add(1);
+  for (size_t i = 64; i < kIds; ++i) {
+    std::optional<QueryQueue::Query> next = queue.Next(1);
+    ASSERT_TRUE(next.has_value());
+    ASSERT_GE(next->id, 64u) << "worker 1 refills from the counter, past worker 0's chunk";
+    claimed[next->id].fetch_add(1);
+  }
+  EXPECT_EQ(queue.dispensed(), kIds);  // every id is in a cursor or drawn
   EXPECT_EQ(queue.steals(), 0u);
 
-  // Worker 1's first pull cannot refill (the counter is drained): the only
-  // way forward is stealing the back half of worker 0's remaining
-  // [1, kIds). This is deterministic — no thread timing involved.
   std::optional<QueryQueue::Query> stolen = queue.Next(1);
   ASSERT_TRUE(stolen.has_value());
   EXPECT_EQ(queue.steals(), 1u);
-  EXPECT_GE(stolen->id, kIds / 2) << "a thief takes from the victim's back half";
-
-  // Drain both cursors concurrently; every id must land exactly once.
-  std::vector<std::atomic<uint32_t>> claimed(kIds);
-  claimed[first->id].fetch_add(1);
+  EXPECT_GE(stolen->id, 32u) << "a thief takes from the victim's back half";
+  EXPECT_LT(stolen->id, 64u);
   claimed[stolen->id].fetch_add(1);
+
   std::vector<std::thread> workers;
   for (unsigned w = 0; w < 2; ++w) {
     workers.emplace_back([&, w] {
@@ -289,11 +250,12 @@ TEST(QueryQueueChunked, StealUnderSkewedChunksRunsEveryIdExactlyOnce) {
 }
 
 TEST(QueryQueueChunked, RefillsStayFarBelowPerQueryTicketCount) {
-  // The contention claim made concrete: draining N ids in chunked mode must
-  // touch the global counter O(N / K) times, not N times.
-  constexpr size_t kIds = 4096;
-  std::vector<NodeId> starts(kIds, 1);
-  QueryQueue queue(starts, /*workers=*/4, {DispenseMode::kChunked, 64});
+  // The contention claim made concrete: per-query dispatch touches the
+  // global counter once per id; adaptive chunks shrink geometrically, so
+  // draining N ids over W workers takes about 8W * ln(N / 8W) claims plus
+  // a tail of single ids — some 300 for these 65536 ids over 4 workers.
+  constexpr size_t kIds = 65536;
+  QueryQueue queue(uint64_t{kIds}, /*workers=*/4, DispenseMode::kChunkedSteal);
   std::vector<std::thread> workers;
   for (unsigned w = 0; w < 4; ++w) {
     workers.emplace_back([&queue, w] {
@@ -305,7 +267,25 @@ TEST(QueryQueueChunked, RefillsStayFarBelowPerQueryTicketCount) {
     worker.join();
   }
   EXPECT_EQ(queue.dispensed(), kIds);
-  EXPECT_LE(queue.refills(), kIds / 64 + 4);  // one claim per chunk (+ racing tails)
+  EXPECT_GT(queue.refills(), 0u);
+  EXPECT_LE(queue.refills(), kIds / 64);
+}
+
+TEST(QueryQueueChunked, QueueOfTwoToTheThirtyOneIdsFallsBackToPerQuery) {
+  // The packed range cursors hold 32-bit indices, so a queue this large
+  // dispenses per query even when asked for chunks: ids come straight off
+  // the global counter in claim order, whichever worker asks, and no
+  // cursor is ever refilled.
+  QueryQueue queue(uint64_t{1} << 31, /*workers=*/4, DispenseMode::kChunkedSteal);
+  for (uint64_t i = 0; i < 4096; ++i) {
+    std::optional<QueryQueue::Query> next = queue.Next(static_cast<unsigned>(i % 4));
+    ASSERT_TRUE(next.has_value());
+    ASSERT_EQ(next->id, i);
+    EXPECT_EQ(next->start, kInvalidNode);
+  }
+  EXPECT_EQ(queue.refills(), 0u);
+  EXPECT_EQ(queue.steals(), 0u);
+  EXPECT_EQ(queue.dispensed(), 4096u);
 }
 
 TEST(WalkScheduler, EmptyStartSetYieldsEmptyResult) {

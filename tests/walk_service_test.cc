@@ -101,8 +101,8 @@ TEST(WalkService, BatchCarvingDoesNotChangePaths) {
 TEST(WalkService, ServedPathsBitIdenticalAcrossWavefrontWidths) {
   // Served-vs-one-shot parity over the wavefront matrix: the scheduler's
   // batched inner loop (scheduler.h, wavefront) must not change a served
-  // path for any width, thread count, or dispensation mode — the draws of
-  // every query come from its own global-id-keyed stream.
+  // path for any width or thread count — the draws of every query come
+  // from its own global-id-keyed stream.
   Graph graph = TestGraph();
   Node2VecWalk walk(2.0, 0.5, 12);
   std::vector<NodeId> starts = Range(0, 256);
@@ -115,17 +115,12 @@ TEST(WalkService, ServedPathsBitIdenticalAcrossWavefrontWidths) {
 
   for (uint32_t wavefront : {1u, 4u, 16u}) {
     for (unsigned threads : {1u, 2u, 8u}) {
-      for (DispenseMode mode :
-           {DispenseMode::kPerQuery, DispenseMode::kChunked, DispenseMode::kChunkedSteal}) {
-        WalkService::Options options = ItsOptions(42, threads);
-        options.scheduler.wavefront = wavefront;
-        options.scheduler.dispense = {mode, 0};
-        WalkService service(graph, walk, options, ItsStep());
-        BatchResult served = service.Submit({starts}).get();
-        EXPECT_EQ(served.walk.paths, reference.paths)
-            << "wavefront=" << wavefront << " threads=" << threads
-            << " mode=" << static_cast<int>(mode);
-      }
+      WalkService::Options options = ItsOptions(42, threads);
+      options.scheduler.wavefront = wavefront;
+      WalkService service(graph, walk, options, ItsStep());
+      BatchResult served = service.Submit({starts}).get();
+      EXPECT_EQ(served.walk.paths, reference.paths)
+          << "wavefront=" << wavefront << " threads=" << threads;
     }
   }
 }

@@ -1,17 +1,16 @@
 // Tests for the persistent WorkerPool: threads are spawned once and reused
 // across Runs (stable thread ids, no spawn per batch), shutdown joins
-// cleanly, nested submission cannot deadlock, every index runs exactly
-// once, and the worker-budget scope caps scheduler resolution.
+// cleanly, nested submission cannot deadlock, and every index runs
+// exactly once.
 #include "src/walker/worker_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
-
-#include "src/walker/scheduler.h"
 
 namespace flexi {
 namespace {
@@ -121,33 +120,6 @@ TEST(ParallelForRangesPool, CoversEveryIndexExactlyOnce) {
   for (size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << i;
   }
-}
-
-TEST(ScopedWorkerBudgetScope, CapsAndRestoresDefaults) {
-  unsigned unbudgeted = DefaultWorkerThreads();
-  {
-    ScopedWorkerBudget budget(2);
-    EXPECT_EQ(ScopedWorkerBudget::Current(), 2u);
-    EXPECT_LE(DefaultWorkerThreads(), 2u);
-    {
-      ScopedWorkerBudget inner(8);  // nested scopes only tighten
-      EXPECT_EQ(ScopedWorkerBudget::Current(), 2u);
-      ScopedWorkerBudget tighter(1);
-      EXPECT_EQ(ScopedWorkerBudget::Current(), 1u);
-    }
-    EXPECT_EQ(ScopedWorkerBudget::Current(), 2u);
-  }
-  EXPECT_EQ(ScopedWorkerBudget::Current(), 0u);
-  EXPECT_EQ(DefaultWorkerThreads(), unbudgeted);
-}
-
-TEST(ScopedWorkerBudgetScope, CapsSchedulerResolution) {
-  ScopedWorkerBudget budget(3);
-  SchedulerOptions defaulted;
-  EXPECT_LE(WalkScheduler(defaulted).num_threads(), 3u);
-  SchedulerOptions explicit_request;
-  explicit_request.num_threads = 64;  // the budget owner still wins
-  EXPECT_EQ(WalkScheduler(explicit_request).num_threads(), 3u);
 }
 
 TEST(GlobalPool, RunOnWorkersReusesGlobalThreads) {
